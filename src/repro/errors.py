@@ -45,15 +45,7 @@ class LinkError(NetworkError):
 
 
 class ProtocolError(ReproError):
-    """Base class for P2P wire-protocol violations."""
-
-
-class WireFormatError(ProtocolError):
-    """Bytes on the wire could not be decoded into a message."""
-
-
-class HandshakeError(ProtocolError):
-    """Peers failed to agree on a session during handshake."""
+    """A P2P protocol message is malformed (e.g. an inconsistent manifest)."""
 
 
 class PeerError(ReproError):

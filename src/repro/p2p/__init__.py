@@ -4,8 +4,10 @@ The paper's application "implemented our own BitTorrent like messaging
 protocol" over Java sockets; the seeder splices the video and every
 peer both leeches and seeds.  This package is that application:
 
-* :mod:`repro.p2p.wire` — length-prefixed framing;
-* :mod:`repro.p2p.messages` — the message set and its byte codec;
+* :mod:`repro.p2p.messages` — the message set, delivered as frozen
+  objects (no byte codec: the simulator never puts bytes on a socket);
+* :mod:`repro.p2p.wire` — the per-segment ``PIECE`` header size that
+  every segment transfer is charged for;
 * :mod:`repro.p2p.tracker` — swarm membership;
 * :mod:`repro.p2p.peer` — plumbing shared by all peers;
 * :mod:`repro.p2p.seeder` / :mod:`repro.p2p.leecher` — the two roles;
@@ -25,11 +27,8 @@ from .messages import (
     Manifest,
     ManifestRequest,
     Message,
-    Piece,
     Request,
     RequestRejected,
-    decode_message,
-    encode_message,
 )
 from .scale import CohortSwarm, FluidSwarm
 from .seeder import Seeder
@@ -41,7 +40,6 @@ from .selection import (
 )
 from .swarm import FIDELITY_TIERS, Swarm, SwarmConfig, build_swarm
 from .tracker import Tracker
-from .wire import FrameDecoder, encode_frame
 
 __all__ = [
     "Bitfield",
@@ -49,7 +47,6 @@ __all__ = [
     "CohortSwarm",
     "FIDELITY_TIERS",
     "FluidSwarm",
-    "FrameDecoder",
     "Goodbye",
     "Handshake",
     "Have",
@@ -58,7 +55,6 @@ __all__ = [
     "Manifest",
     "ManifestRequest",
     "Message",
-    "Piece",
     "PieceSelector",
     "RarestFirstSelector",
     "Request",
@@ -70,7 +66,4 @@ __all__ = [
     "SwarmConfig",
     "Tracker",
     "build_swarm",
-    "decode_message",
-    "encode_frame",
-    "encode_message",
 ]

@@ -1,40 +1,29 @@
-"""Protocol messages and their byte codec.
+"""Protocol messages.
 
 A BitTorrent-like message set adapted to streaming: peers exchange a
 manifest (segment layout — what a tracker-less HLS playlist carries),
-bitfields and haves for availability, and request/piece for data.
+bitfields and haves for availability, and request/cancel for data.
 
-Encoding: ``msg_id (1 byte) || body``.  Strings are
-``u16 length || utf-8``; arrays are ``u32 count || items``.  All
-integers big-endian.
+Messages are frozen dataclasses, delivered to the receiver as objects
+by :class:`~repro.p2p.peer.ControlPlane`; one instance may be shared by
+sender and receiver because nobody can mutate it.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Type, TypeVar
 
-from ..errors import WireFormatError
-
-_U8 = struct.Struct(">B")
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_F64 = struct.Struct(">d")
+from ..errors import ProtocolError
 
 
 class Message:
-    """Base class for protocol messages; subclasses define ``MSG_ID``."""
-
-    MSG_ID: ClassVar[int]
+    """Base class for protocol messages."""
 
 
 @dataclass(frozen=True, slots=True)
 class Handshake(Message):
     """Opens a peer link: who I am and which stream I want."""
 
-    MSG_ID: ClassVar[int] = 1
     peer_id: str
     info_hash: str
 
@@ -43,7 +32,6 @@ class Handshake(Message):
 class ManifestRequest(Message):
     """Ask the seeder for the video manifest and swarm membership."""
 
-    MSG_ID: ClassVar[int] = 2
     peer_id: str
 
 
@@ -55,7 +43,6 @@ class Manifest(Message):
     paper says every peer fetches from the seeder at startup.
     """
 
-    MSG_ID: ClassVar[int] = 3
     info_hash: str
     segment_sizes: tuple[int, ...]
     segment_durations: tuple[float, ...]
@@ -63,7 +50,7 @@ class Manifest(Message):
 
     def __post_init__(self) -> None:
         if len(self.segment_sizes) != len(self.segment_durations):
-            raise WireFormatError(
+            raise ProtocolError(
                 "segment_sizes and segment_durations must have equal "
                 f"lengths, got {len(self.segment_sizes)} and "
                 f"{len(self.segment_durations)}"
@@ -79,7 +66,6 @@ class Manifest(Message):
 class Bitfield(Message):
     """Which segments the sender currently holds."""
 
-    MSG_ID: ClassVar[int] = 4
     peer_id: str
     indices: tuple[int, ...]
 
@@ -88,7 +74,6 @@ class Bitfield(Message):
 class Have(Message):
     """Announce one newly-acquired segment."""
 
-    MSG_ID: ClassVar[int] = 5
     peer_id: str
     index: int
 
@@ -102,7 +87,6 @@ class Request(Message):
     requests before prefetches.
     """
 
-    MSG_ID: ClassVar[int] = 6
     peer_id: str
     index: int
     urgent: bool = False
@@ -116,27 +100,15 @@ class RequestRejected(Message):
     elsewhere and come back) from a genuine miss.
     """
 
-    MSG_ID: ClassVar[int] = 7
     peer_id: str
     index: int
     busy: bool = False
 
 
 @dataclass(frozen=True, slots=True)
-class Piece(Message):
-    """Header accompanying a completed segment transfer."""
-
-    MSG_ID: ClassVar[int] = 8
-    peer_id: str
-    index: int
-    size: int
-
-
-@dataclass(frozen=True, slots=True)
 class Goodbye(Message):
     """The sender is leaving the swarm (churn)."""
 
-    MSG_ID: ClassVar[int] = 9
     peer_id: str
 
 
@@ -144,197 +116,5 @@ class Goodbye(Message):
 class Cancel(Message):
     """Withdraw an earlier :class:`Request` (re-requested elsewhere)."""
 
-    MSG_ID: ClassVar[int] = 10
     peer_id: str
     index: int
-
-
-T = TypeVar("T", bound=Message)
-
-
-def _pack_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise WireFormatError(f"string of {len(raw)} bytes is too long")
-    return _U16.pack(len(raw)) + raw
-
-
-class _Reader:
-    """Cursor over a message body with bounds checking."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def _take(self, fmt: struct.Struct) -> tuple:
-        if self._pos + fmt.size > len(self._data):
-            raise WireFormatError("message truncated")
-        values = fmt.unpack_from(self._data, self._pos)
-        self._pos += fmt.size
-        return values
-
-    def u8(self) -> int:
-        return self._take(_U8)[0]
-
-    def u32(self) -> int:
-        return self._take(_U32)[0]
-
-    def u64(self) -> int:
-        return self._take(_U64)[0]
-
-    def f64(self) -> float:
-        return self._take(_F64)[0]
-
-    def string(self) -> str:
-        (length,) = self._take(_U16)
-        if self._pos + length > len(self._data):
-            raise WireFormatError("string extends past message end")
-        raw = self._data[self._pos : self._pos + length]
-        self._pos += length
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError(
-                f"string field is not valid UTF-8: {exc}"
-            ) from exc
-
-    def expect_end(self) -> None:
-        if self._pos != len(self._data):
-            raise WireFormatError(
-                f"{len(self._data) - self._pos} trailing bytes after message"
-            )
-
-
-def encode_message(message: Message) -> bytes:
-    """Serialize a message to its wire bytes (without framing)."""
-    body: list[bytes] = [_U8.pack(message.MSG_ID)]
-    if isinstance(message, Handshake):
-        body += [_pack_str(message.peer_id), _pack_str(message.info_hash)]
-    elif isinstance(message, ManifestRequest):
-        body += [_pack_str(message.peer_id)]
-    elif isinstance(message, Manifest):
-        body += [_pack_str(message.info_hash)]
-        body += [_U32.pack(len(message.segment_sizes))]
-        body += [_U64.pack(size) for size in message.segment_sizes]
-        body += [_F64.pack(d) for d in message.segment_durations]
-        body += [_U32.pack(len(message.peers))]
-        body += [_pack_str(peer) for peer in message.peers]
-    elif isinstance(message, Bitfield):
-        body += [_pack_str(message.peer_id)]
-        body += [_U32.pack(len(message.indices))]
-        body += [_U32.pack(index) for index in message.indices]
-    elif isinstance(message, Request):
-        body += [
-            _pack_str(message.peer_id),
-            _U32.pack(message.index),
-            _U8.pack(1 if message.urgent else 0),
-        ]
-    elif isinstance(message, RequestRejected):
-        body += [
-            _pack_str(message.peer_id),
-            _U32.pack(message.index),
-            _U8.pack(1 if message.busy else 0),
-        ]
-    elif isinstance(message, (Have, Cancel)):
-        body += [_pack_str(message.peer_id), _U32.pack(message.index)]
-    elif isinstance(message, Piece):
-        body += [
-            _pack_str(message.peer_id),
-            _U32.pack(message.index),
-            _U64.pack(message.size),
-        ]
-    elif isinstance(message, Goodbye):
-        body += [_pack_str(message.peer_id)]
-    else:
-        raise WireFormatError(f"cannot encode {type(message).__name__}")
-    return b"".join(body)
-
-
-def _decode_handshake(r: _Reader) -> Handshake:
-    return Handshake(peer_id=r.string(), info_hash=r.string())
-
-
-def _decode_manifest_request(r: _Reader) -> ManifestRequest:
-    return ManifestRequest(peer_id=r.string())
-
-
-def _decode_manifest(r: _Reader) -> Manifest:
-    info_hash = r.string()
-    count = r.u32()
-    sizes = tuple(r.u64() for _ in range(count))
-    durations = tuple(r.f64() for _ in range(count))
-    npeers = r.u32()
-    peers = tuple(r.string() for _ in range(npeers))
-    return Manifest(
-        info_hash=info_hash,
-        segment_sizes=sizes,
-        segment_durations=durations,
-        peers=peers,
-    )
-
-
-def _decode_bitfield(r: _Reader) -> Bitfield:
-    peer_id = r.string()
-    count = r.u32()
-    return Bitfield(
-        peer_id=peer_id, indices=tuple(r.u32() for _ in range(count))
-    )
-
-
-def _decode_have(r: _Reader) -> Have:
-    return Have(peer_id=r.string(), index=r.u32())
-
-
-def _decode_request(r: _Reader) -> Request:
-    return Request(peer_id=r.string(), index=r.u32(), urgent=r.u8() != 0)
-
-
-def _decode_rejected(r: _Reader) -> RequestRejected:
-    return RequestRejected(
-        peer_id=r.string(), index=r.u32(), busy=r.u8() != 0
-    )
-
-
-def _decode_piece(r: _Reader) -> Piece:
-    return Piece(peer_id=r.string(), index=r.u32(), size=r.u64())
-
-
-def _decode_goodbye(r: _Reader) -> Goodbye:
-    return Goodbye(peer_id=r.string())
-
-
-def _decode_cancel(r: _Reader) -> Cancel:
-    return Cancel(peer_id=r.string(), index=r.u32())
-
-
-_DECODERS: dict[int, Callable[[_Reader], Message]] = {
-    Handshake.MSG_ID: _decode_handshake,
-    ManifestRequest.MSG_ID: _decode_manifest_request,
-    Manifest.MSG_ID: _decode_manifest,
-    Bitfield.MSG_ID: _decode_bitfield,
-    Have.MSG_ID: _decode_have,
-    Request.MSG_ID: _decode_request,
-    RequestRejected.MSG_ID: _decode_rejected,
-    Piece.MSG_ID: _decode_piece,
-    Goodbye.MSG_ID: _decode_goodbye,
-    Cancel.MSG_ID: _decode_cancel,
-}
-
-
-def decode_message(data: bytes) -> Message:
-    """Parse wire bytes (without framing) into a message.
-
-    Raises:
-        WireFormatError: on unknown message ids, truncation, or
-            trailing garbage.
-    """
-    if not data:
-        raise WireFormatError("empty message")
-    reader = _Reader(data)
-    msg_id = reader.u8()
-    decoder = _DECODERS.get(msg_id)
-    if decoder is None:
-        raise WireFormatError(f"unknown message id {msg_id}")
-    message = decoder(reader)
-    reader.expect_end()
-    return message

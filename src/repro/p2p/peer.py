@@ -1,16 +1,17 @@
 """Peer plumbing shared by seeders and leechers.
 
-Control messages (handshakes, haves, requests) are small: they are
-encoded through the real wire codec, then delivered after the
-end-to-end control latency — their bandwidth use is negligible and not
-charged against links.  Segment payloads are large: each one travels as
-its own TCP transfer through the flow network, exactly like the paper's
-per-segment Java-socket connections.
+Control messages (handshakes, haves, requests) are small: the frozen
+message objects are delivered after the end-to-end control latency —
+their bandwidth use is negligible and not charged against links.
+Segment payloads are large: each one travels as its own TCP transfer
+through the flow network, exactly like the paper's per-segment
+Java-socket connections, and carries its ``PIECE`` header's bytes
+(:func:`~repro.p2p.wire.piece_wire_overhead`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from ..errors import PeerError
 from ..net.engine import Simulator
@@ -28,25 +29,14 @@ from .messages import (
     Manifest,
     ManifestRequest,
     Message,
-    Piece,
     Request,
     RequestRejected,
-    decode_message,
-    encode_message,
 )
-from .wire import FrameDecoder, encode_frame
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
-
-
-def piece_wire_overhead(peer_id: str, index: int, size: int) -> int:
-    """Bytes of protocol overhead carried with one segment transfer."""
-    return len(encode_frame(encode_message(Piece(peer_id, index, size))))
+from .wire import piece_wire_overhead
 
 
 class ControlPlane:
-    """Latency-delayed, loss-free delivery of encoded control messages.
+    """Latency-delayed, loss-free delivery of control messages.
 
     Args:
         sim: the simulator.
@@ -67,7 +57,6 @@ class ControlPlane:
         self._extra_latency = extra_latency
         self._peers: dict[str, "PeerBase"] = {}
         self.messages_sent = 0
-        self.control_bytes = 0
 
     def register(self, peer: "PeerBase") -> None:
         """Make a peer reachable by name."""
@@ -93,21 +82,23 @@ class ControlPlane:
         return base
 
     def send(self, src: "PeerBase", dst_name: str, message: Message) -> None:
-        """Encode and deliver ``message`` after the pair's latency.
+        """Deliver ``message`` after the pair's latency.
 
         Messages to peers that have left by delivery time are silently
         dropped, as a closed socket would drop them.
         """
-        raw = encode_frame(encode_message(message))
         self.messages_sent += 1
-        self.control_bytes += len(raw)
         delay = self.delay(src.name, dst_name)
-        self._sim.schedule(delay, self._deliver, src.name, dst_name, raw)
+        self._sim.schedule(
+            delay, self._deliver, src.name, dst_name, message
+        )
 
-    def _deliver(self, src_name: str, dst_name: str, raw: bytes) -> None:
+    def _deliver(
+        self, src_name: str, dst_name: str, message: Message
+    ) -> None:
         dst = self._peers.get(dst_name)
         if dst is not None and dst.alive:
-            dst.receive_control(src_name, raw)
+            dst.handle_message(src_name, message)
 
 
 class PeerBase:
@@ -147,7 +138,6 @@ class PeerBase:
         self._topology = topology
         self._control = control
         self._tcp_params = tcp_params or TcpParams()
-        self._decoder = FrameDecoder()
         self.alive = True
         self.owned: set[int] = set()
         self.segment_sizes: dict[int, int] = {}
@@ -182,13 +172,8 @@ class PeerBase:
             return
         self._control.send(self, dst_name, message)
 
-    def receive_control(self, src_name: str, raw: bytes) -> None:
-        """Decode an incoming control frame and dispatch it."""
-        for payload in self._decoder.feed(raw):
-            self.handle_message(src_name, decode_message(payload))
-
     def handle_message(self, src_name: str, message: Message) -> None:
-        """Dispatch one decoded message; subclasses extend."""
+        """Dispatch one delivered message; subclasses extend."""
         if isinstance(message, Request):
             self._handle_request(src_name, message.index, message.urgent)
         elif isinstance(message, Cancel):
@@ -199,14 +184,13 @@ class PeerBase:
             self._handle_goodbye(src_name)
         elif isinstance(
             message,
-            (Bitfield, Have, Manifest, ManifestRequest, RequestRejected,
-             Piece),
+            (Bitfield, Have, Manifest, ManifestRequest, RequestRejected),
         ):
             # Subclasses that care override handle_message and call
             # super() for the shared cases; silently ignoring here
             # mirrors a real peer tolerating unexpected messages.
             pass
-        else:  # pragma: no cover - registry covers all message types
+        else:  # pragma: no cover - the cases above cover every message type
             raise PeerError(f"unhandled message {type(message).__name__}")
 
     def _handle_handshake(self, src_name: str, message: Handshake) -> None:

@@ -10,12 +10,41 @@ from repro.net.engine import Simulator
 from repro.net.flownet import FlowNetwork
 from repro.net.topology import StarTopology
 from repro.p2p.leecher import Leecher, LeecherConfig
+from repro.p2p.messages import (
+    Bitfield,
+    Cancel,
+    Goodbye,
+    Handshake,
+    Have,
+    Manifest,
+    ManifestRequest,
+    Request,
+    RequestRejected,
+)
 from repro.p2p.peer import ControlPlane
 from repro.p2p.seeder import Seeder
 from repro.p2p.tracker import Tracker
 from repro.units import kB_per_s
 from repro.video.encoder import EncoderConfig, SyntheticEncoder
 from repro.video.scene import generate_scene_plan
+
+#: One instance of every message type the control plane carries.
+ALL_MESSAGES = [
+    Handshake(peer_id="peer-1", info_hash="ab" * 20),
+    ManifestRequest(peer_id="peer-2"),
+    Manifest(
+        info_hash="deadbeef",
+        segment_sizes=(100, 2_000_000, 30),
+        segment_durations=(2.0, 4.0, 1.5),
+        peers=("peer-1", "peer-2"),
+    ),
+    Bitfield(peer_id="p", indices=(0, 3, 17)),
+    Have(peer_id="p", index=9),
+    Request(peer_id="p", index=4, urgent=True),
+    RequestRejected(peer_id="p", index=4, busy=True),
+    Goodbye(peer_id="p"),
+    Cancel(peer_id="p", index=5),
+]
 
 
 def make_splice(duration=12.0, segment_duration=2.0, seed=3):

@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import PeerError
 from repro.p2p.messages import Handshake, Request
-from repro.p2p.peer import piece_wire_overhead
+from repro.p2p.wire import piece_wire_overhead
 
-from .helpers import MiniSwarm
+from .helpers import ALL_MESSAGES, MiniSwarm
 
 
 class TestControlPlane:
@@ -35,7 +35,26 @@ class TestControlPlane:
         before = swarm.control.messages_sent
         swarm.leechers[0].start()
         assert swarm.control.messages_sent == before + 1
-        assert swarm.control.control_bytes > 0
+
+    @pytest.mark.parametrize(
+        "message", ALL_MESSAGES, ids=lambda m: type(m).__name__
+    )
+    def test_message_delivered_as_equal_object_after_delay(
+        self, message, monkeypatch
+    ):
+        swarm = MiniSwarm(n_leechers=2)
+        a, b = swarm.leechers
+        received = []
+        monkeypatch.setattr(
+            b,
+            "handle_message",
+            lambda src, msg: received.append((swarm.sim.now, src, msg)),
+        )
+        a.send(b.name, message)
+        swarm.run()
+        assert received == [
+            (swarm.control.delay(a.name, b.name), a.name, message)
+        ]
 
     def test_message_to_departed_peer_dropped(self):
         swarm = MiniSwarm(n_leechers=2)
@@ -46,14 +65,25 @@ class TestControlPlane:
 
 
 class TestPieceWireOverhead:
-    def test_positive_and_small(self):
-        overhead = piece_wire_overhead("peer-1", 3, 512_000)
-        assert 0 < overhead < 100
+    """The PIECE header is charged on every segment transfer, so its
+    exact size is part of every figure."""
+
+    @pytest.mark.parametrize(
+        ("peer_id", "index", "size", "expected"),
+        [
+            ("peer-1", 3, 512_000, 25),
+            ("peer-19", 0, 1, 26),
+            ("é", 0, 1, 21),  # two UTF-8 bytes, one character
+        ],
+        ids=["peer-1", "peer-19", "multibyte"],
+    )
+    def test_exact_header_size(self, peer_id, index, size, expected):
+        assert piece_wire_overhead(peer_id, index, size) == expected
 
     def test_grows_with_peer_id(self):
         short = piece_wire_overhead("p", 0, 1)
         long = piece_wire_overhead("p" * 30, 0, 1)
-        assert long > short
+        assert long - short == 29
 
 
 class TestUploads:

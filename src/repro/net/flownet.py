@@ -1,45 +1,46 @@
-"""Flow-level bandwidth sharing with max-min fairness, solved incrementally.
+"""Flow-level bandwidth sharing with max-min fairness.
 
 Concurrent transfers are *fluid flows* over routes of links.  Whenever
 the set of flows (or a capacity or per-flow rate cap) changes, rates
-are re-solved by progressive filling: all flows' rates rise together
-until a link saturates or a flow hits its cap, those flows freeze, and
-filling continues — the textbook max-min fair allocation.
+are re-solved by one bottleneck-ordered water-fill over every active
+flow.  Each round takes the link with the smallest fair share (its
+remaining capacity over its unfrozen flows) and freezes its flows at
+that share, unless some flow's own cap is lower still, in which case
+that one flow freezes at its cap.  Shares of the links the round
+touched are refreshed and the next bottleneck is taken — the textbook
+max-min fair allocation.
 
 This is the standard abstraction for simulating TCP sharing at the
 timescale of segment downloads: each flow's cap is supplied by the TCP
 model (slow-start ramp, Mathis loss ceiling) and the network solves the
 induced sharing exactly instead of simulating packets.
 
-Two structural facts make the solve incremental without changing a
-single allocated byte:
+A flow's rate is computed only from its own links' capacities and the
+rates already frozen on those links, with strict tie-breaks (link name,
+then ``(cap, flow id)``) and no tolerance grouping.  So flows that
+share no link, directly or transitively, cannot influence each other's
+rates, bit for bit: one solve over the whole network gives every
+link-connected part exactly the rates it would get alone.
 
-* **Max-min decomposes over link-connected components.**  Flows that
-  share no link (directly or transitively) cannot influence each
-  other's rates, so the network partitions its flows into components
-  and re-runs progressive filling only over the component(s) an update
-  touched; untouched components keep their cached rates.  A removal may
-  split a component — connectivity is re-derived lazily at the next
-  solve of that component.
+Same-timestamp updates coalesce.  Rates only matter across intervals of
+nonzero simulated time, so a burst of updates landing at one instant
+(window ramps, multi-flow churn) marks the network dirty and defers the
+solve to the engine's end-of-timestamp barrier
+(:meth:`~repro.net.engine.Simulator.call_at_timestamp_end`) — one
+solve instead of one per call.  Reading :attr:`Flow.rate` flushes
+pending work first, so callers always observe solved rates.
 
-* **Same-timestamp updates coalesce.**  Rates only matter across
-  intervals of nonzero simulated time, so a burst of updates landing at
-  one instant (window ramps, multi-flow churn) marks components dirty
-  and defers the solve to the engine's end-of-timestamp barrier
-  (:meth:`~repro.net.engine.Simulator.call_at_timestamp_end`) — one
-  re-solve instead of one per call.  Reading :attr:`Flow.rate` flushes
-  pending work first, so callers always observe solved rates.
-
-The naive solver this replaces (global re-solve on every update,
-per-flow per-link byte accounting, full completion rescans) survives as
+The naive solver (global progressive filling on every update, per-flow
+per-link byte accounting, full completion rescans) survives as
 :class:`repro.net.reference.ReferenceFlowNetwork` — the executable
 specification the property tests cross-check against.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import NetworkError
 from .engine import EventHandle, Simulator
@@ -50,16 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bytes below which a flow counts as complete (float-drift guard).
 _COMPLETION_EPSILON = 1e-3
-#: Rate increments below this are treated as zero in progressive filling.
-_RATE_EPSILON = 1e-9
-#: Relative slack when deciding whether a component *might* hold a flow
-#: within :data:`_COMPLETION_EPSILON` of completion.  The cached
-#: estimate extrapolates linearly with the same rates the advance loop
-#: uses, so it can drift from the advanced ``remaining`` only by
-#: accumulated rounding — orders of magnitude below this slack.  The
-#: slack errs toward scanning a component that turns out to have
-#: nothing due, which costs time but never changes behaviour.
-_SWEEP_SLACK = 1e-6
 
 
 class Flow:
@@ -136,29 +127,6 @@ class Flow:
         )
 
 
-class _Component:
-    """One link-connected set of flows with cached solve results."""
-
-    __slots__ = ("flows", "links", "eta_flow", "eps_eta", "needs_split")
-
-    def __init__(self) -> None:
-        #: member flows, insertion-ordered (dict used as ordered set).
-        self.flows: dict[Flow, None] = {}
-        #: links traversed by member flows; a superset between a
-        #: removal and the next solve, exact after every solve.
-        self.links: dict[str, Link] = {}
-        #: the member with the soonest full-completion ETA at the last
-        #: solve (rates are constant between solves, so it stays the
-        #: argmin until the next solve).
-        self.eta_flow: Flow | None = None
-        #: absolute sim time when the earliest member may come within
-        #: the completion epsilon of done (+inf when none can).
-        self.eps_eta: float = float("inf")
-        #: a member was removed since the last solve — connectivity
-        #: must be re-derived before solving.
-        self.needs_split = False
-
-
 class FlowNetwork:
     """The set of links and currently-active flows.
 
@@ -166,8 +134,8 @@ class FlowNetwork:
         sim: the simulator supplying the clock and event queue.
         registry: optional metrics registry; when given, the solver
             publishes counters (``net.flownet.*``) for updates,
-            coalesced updates, component re-solves, and re-solved flow
-            counts.  Recording never changes allocations.
+            coalesced updates, solves, and solved flow counts.
+            Recording never changes allocations.
     """
 
     def __init__(
@@ -185,12 +153,8 @@ class FlowNetwork:
         # byte accounting is O(links) per advance instead of
         # O(flows x route).
         self._link_rates: dict[str, float] = {}
-        self._comps: dict[_Component, None] = {}
-        self._comp_of: dict[Flow, _Component] = {}
-        self._link_comp: dict[str, _Component] = {}
-        self._dirty: dict[_Component, None] = {}
+        self._dirty = False
         self._barrier_pending = False
-        self._completion_stale = False
         self._capacity_generation = 0
         if registry is None:
             self._updates = None
@@ -285,8 +249,7 @@ class FlowNetwork:
             network=self,
         )
         self._flows[flow] = None
-        comp = self._adopt(flow)
-        self._mark_dirty(comp)
+        self._mark_dirty()
         return flow
 
     def cancel_flow(self, flow: Flow) -> None:
@@ -307,86 +270,32 @@ class FlowNetwork:
             return
         self._advance()
         flow.rate_limit = rate_limit
-        comp = self._comp_of.get(flow)
-        if comp is not None:
-            self._mark_dirty(comp)
+        if flow in self._flows:
+            self._mark_dirty()
 
     def set_capacity(self, link: Link, capacity: float) -> None:
         """Change a link's capacity at runtime (variable-bandwidth runs)."""
         self._advance()
         link.capacity = capacity
         self._capacity_generation += 1
-        comp = self._link_comp.get(link.name)
-        if comp is not None:
-            self._mark_dirty(comp)
+        if self.flows_on(link):
+            self._mark_dirty()
 
     # ------------------------------------------------------------------
-    # component bookkeeping
-
-    def _adopt(self, flow: Flow) -> _Component:
-        """Place a new flow, merging every component its route touches."""
-        touched: list[_Component] = []
-        for link in flow.route:
-            comp = self._link_comp.get(link.name)
-            if comp is not None and comp not in touched:
-                touched.append(comp)
-        if not touched:
-            home = _Component()
-            self._comps[home] = None
-        else:
-            home = max(touched, key=lambda c: len(c.flows))
-            for other in touched:
-                if other is home:
-                    continue
-                for member in other.flows:
-                    home.flows[member] = None
-                    self._comp_of[member] = home
-                for name, link in other.links.items():
-                    home.links[name] = link
-                    self._link_comp[name] = home
-                home.needs_split |= other.needs_split
-                if other in self._dirty:
-                    del self._dirty[other]
-                del self._comps[other]
-        home.flows[flow] = None
-        self._comp_of[flow] = home
-        for link in flow.route:
-            home.links[link.name] = link
-            self._link_comp[link.name] = home
-        return home
+    # deferred solving
 
     def _remove_flow(self, flow: Flow) -> None:
-        """Detach a finished/cancelled flow and dirty its component."""
+        """Detach a finished/cancelled flow and dirty the network."""
         del self._flows[flow]
         flow._network = None
-        comp = self._comp_of.pop(flow)
-        del comp.flows[flow]
-        if not comp.flows:
-            self._dissolve(comp)
-        else:
-            comp.needs_split = True
-            self._mark_dirty(comp)
+        self._mark_dirty()
 
-    def _dissolve(self, comp: _Component) -> None:
-        for name in comp.links:
-            if self._link_comp.get(name) is comp:
-                del self._link_comp[name]
-                self._link_rates.pop(name, None)
-        self._dirty.pop(comp, None)
-        del self._comps[comp]
-        # The pending completion event may target this component.
-        self._schedule_flush()
-
-    def _mark_dirty(self, comp: _Component) -> None:
+    def _mark_dirty(self) -> None:
         if self._updates is not None:
             self._updates.inc()
-            if comp in self._dirty:
+            if self._dirty:
                 self._coalesced.inc()
-        self._dirty[comp] = None
-        self._schedule_flush()
-
-    def _schedule_flush(self) -> None:
-        self._completion_stale = True
+        self._dirty = True
         if not self._barrier_pending:
             self._barrier_pending = True
             self._sim.call_at_timestamp_end(self._on_barrier)
@@ -396,187 +305,84 @@ class FlowNetwork:
         self._flush()
 
     def _flush(self) -> None:
-        """Solve every dirty component and refresh the completion event."""
+        """Re-solve every rate and refresh the completion event."""
         if self._dirty:
-            dirty = self._dirty
-            self._dirty = {}
-            for comp in dirty:
-                if comp in self._comps:
-                    self._solve(comp)
-        if self._completion_stale:
-            self._completion_stale = False
+            self._dirty = False
+            self._fill()
             self._reschedule_completion()
 
-    # ------------------------------------------------------------------
-    # solving
+    def _fill(self) -> None:
+        """Bottleneck-ordered max-min water-fill with rate caps.
 
-    def _solve(self, comp: _Component) -> None:
-        """Re-solve one dirty component (splitting it first if needed)."""
-        # Release this component's link ownership; each surviving part
-        # re-registers exactly the links its flows still traverse.
-        for name in comp.links:
-            if self._link_comp.get(name) is comp:
-                del self._link_comp[name]
-                self._link_rates.pop(name, None)
-        if comp.needs_split:
-            parts = self._split(comp)
-        else:
-            parts = (comp,)
-        for part in parts:
-            self._fill(part)
-
-    def _split(self, comp: _Component) -> list[_Component]:
-        """Re-derive link-connectivity after removals.
-
-        Returns the component itself when still connected, else fresh
-        components (member order preserved) replacing it.
+        Each round freezes either the lowest-capped unfrozen flow at its
+        cap (when that cap is at most the smallest link share) or every
+        unfrozen flow on the smallest-share link at that share.  A
+        share is a link's remaining capacity over its unfrozen flows;
+        the heap holds one fresh entry per touched link and stale
+        entries are dropped when they surface.
         """
-        comp.needs_split = False
-        flows = list(comp.flows)
-        parent = list(range(len(flows)))
-
-        def find(i: int) -> int:
-            root = i
-            while parent[root] != root:
-                root = parent[root]
-            while parent[i] != root:
-                parent[i], i = root, parent[i]
-            return root
-
-        by_link: dict[str, int] = {}
-        for index, flow in enumerate(flows):
-            for link in flow.route:
-                first = by_link.setdefault(link.name, index)
-                if first != index:
-                    parent[find(index)] = find(first)
-
-        groups: dict[int, list[Flow]] = {}
-        for index, flow in enumerate(flows):
-            groups.setdefault(find(index), []).append(flow)
-        if len(groups) == 1:
-            return [comp]
-
-        del self._comps[comp]
-        parts = []
-        for members in groups.values():
-            part = _Component()
-            for flow in members:
-                part.flows[flow] = None
-                self._comp_of[flow] = part
-            self._comps[part] = None
-            parts.append(part)
-        return parts
-
-    def _fill(self, comp: _Component) -> None:
-        """Progressive-filling max-min fair allocation with rate caps.
-
-        Arithmetic is the exact restriction of the global reference
-        solve to this component's flows: the delta sequence is a pure
-        function of the member flows' links and caps, so solving a
-        component in isolation reproduces the joint solve bit-for-bit
-        (components share no links by construction).
-        """
-        flows = comp.flows
-        unfrozen = set(flows)
-        for flow in flows:
-            flow._rate = 0.0
-        link_remaining: dict[str, float] = {}
-        link_unfrozen: dict[str, set[Flow]] = {}
-        links: dict[str, Link] = {}
+        flows = self._flows
+        remaining: dict[str, float] = {}
+        members: dict[str, list[Flow]] = {}
+        capped: list[tuple[float, int, Flow]] = []
         for flow in flows:
             for link in flow.route:
-                links[link.name] = link
-                link_remaining.setdefault(link.name, link.capacity)
-                link_unfrozen.setdefault(link.name, set()).add(flow)
-
-        while unfrozen:
-            # Largest uniform rate increment that stays feasible.
-            delta = min(
-                (
-                    link_remaining[name] / len(members)
-                    for name, members in link_unfrozen.items()
-                    if members
-                ),
-                default=float("inf"),
-            )
-            # repro: lint-ok[D3] min() reduction is order-independent
-            for flow in unfrozen:
-                if flow.rate_limit is not None:
-                    delta = min(delta, flow.rate_limit - flow._rate)
-            if delta == float("inf"):
-                break
-            delta = max(delta, 0.0)
-
-            if delta > 0:
-                # repro: lint-ok[D3] same delta added to each flow
-                for flow in unfrozen:
-                    flow._rate += delta
-                for name, members in link_unfrozen.items():
-                    link_remaining[name] -= delta * len(members)
-
-            # Freeze flows that hit their cap or sit on a full link.
-            newly_frozen = {
-                flow
-                # repro: lint-ok[D3] builds a set; order-free
-                for flow in unfrozen
-                if flow.rate_limit is not None
-                and flow._rate >= flow.rate_limit - _RATE_EPSILON
-            }
-            for name, members in link_unfrozen.items():
-                if link_remaining[name] <= _RATE_EPSILON * max(
-                    1.0, links[name].capacity
-                ):
-                    newly_frozen |= members
-            if not newly_frozen:
-                # delta == 0 without anything freezing would loop
-                # forever; freeze everything as a defensive stop.
-                if delta <= 0:
-                    newly_frozen = set(unfrozen)
+                on_link = members.get(link.name)
+                if on_link is None:
+                    members[link.name] = [flow]
+                    remaining[link.name] = link.capacity
                 else:
-                    continue
-            unfrozen -= newly_frozen
-            for members in link_unfrozen.values():
-                members -= newly_frozen
+                    on_link.append(flow)
+            if flow.rate_limit is not None:
+                capped.append((flow.rate_limit, flow.id, flow))
+        capped.sort()
+        unfrozen = {name: len(on_link) for name, on_link in members.items()}
+        heap = [
+            (remaining[name] / count, name) for name, count in unfrozen.items()
+        ]
+        heapq.heapify(heap)
+        frozen: set[Flow] = set()
+        next_cap = 0
+        while heap:
+            share, name = heap[0]
+            count = unfrozen[name]
+            if not count or remaining[name] / count != share:
+                heapq.heappop(heap)
+                continue
+            while next_cap < len(capped) and capped[next_cap][2] in frozen:
+                next_cap += 1
+            if next_cap < len(capped) and capped[next_cap][0] <= share:
+                rate, _, flow = capped[next_cap]
+                group = [flow]
+            else:
+                heapq.heappop(heap)
+                rate = share
+                group = [flow for flow in members[name] if flow not in frozen]
+            touched: dict[str, None] = {}
+            for flow in group:
+                flow._rate = rate
+                frozen.add(flow)
+                for link in flow.route:
+                    remaining[link.name] -= rate
+                    unfrozen[link.name] -= 1
+                    touched[link.name] = None
+            for touched_name in touched:
+                count = unfrozen[touched_name]
+                if count:
+                    heapq.heappush(
+                        heap, (remaining[touched_name] / count, touched_name)
+                    )
 
         # TCP window floor: a share below ~MSS/RTT leaves a real
         # connection timeout-bound; goodput falls off quadratically.
+        link_rates = dict.fromkeys(members, 0.0)
         for flow in flows:
             floor = flow.min_efficient_rate
             if floor > 0 and 0 < flow._rate < floor:
                 flow._rate = flow._rate * flow._rate / floor
-
-        # Cache what the rest of the network needs from this solve:
-        # per-link aggregate rates, link ownership, and the ETA bounds
-        # the completion machinery consults.
-        now = self._sim.now
-        eps = _COMPLETION_EPSILON
-        comp.links = links
-        link_rates = dict.fromkeys(links, 0.0)
-        eta_flow: Flow | None = None
-        best_eta = float("inf")
-        eps_eta = float("inf")
-        for flow in flows:
-            rate = flow._rate
             for link in flow.route:
-                link_rates[link.name] += rate
-            remaining = flow.remaining
-            if remaining <= eps:
-                eps_eta = now
-            if rate <= 0:
-                continue
-            eta = remaining / rate
-            if eta < best_eta:
-                best_eta = eta
-                eta_flow = flow
-            if remaining > eps:
-                crossing = now + (remaining - eps) / rate
-                if crossing < eps_eta:
-                    eps_eta = crossing
-        comp.eta_flow = eta_flow
-        comp.eps_eta = eps_eta
-        for name, rate in link_rates.items():
-            self._link_rates[name] = rate
-            self._link_comp[name] = comp
+                link_rates[link.name] += flow._rate
+        self._link_rates = link_rates
 
         if self._resolves is not None:
             self._resolves.inc()
@@ -588,11 +394,11 @@ class FlowNetwork:
     def _advance(self) -> None:
         """Credit every active flow with progress since the last update.
 
-        Rates are constant across the advanced interval: dirty
-        components can only exist within the current timestamp (the
-        engine barrier flushes them before the clock moves), so the
-        cached ``_rate``/``_link_rates`` values are exactly the rates
-        that applied since ``_last_update``.
+        Rates are constant across the advanced interval: the network
+        can only be dirty within the current timestamp (the engine
+        barrier flushes it before the clock moves), so the cached
+        ``_rate``/``_link_rates`` values are exactly the rates that
+        applied since ``_last_update``.
         """
         now = self._sim.now
         elapsed = now - self._last_update
@@ -610,18 +416,18 @@ class FlowNetwork:
         self._last_update = now
 
     def _reschedule_completion(self) -> None:
+        """Arm one event at the soonest full-completion ETA."""
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        soonest: float | None = None
-        for comp in self._comps:
-            flow = comp.eta_flow
-            if flow is None:
-                continue
-            eta = flow.remaining / flow._rate
-            if soonest is None or eta < soonest:
-                soonest = eta
-        if soonest is not None:
+        soonest = float("inf")
+        for flow in self._flows:
+            rate = flow._rate
+            if rate > 0:
+                eta = flow.remaining / rate
+                if eta < soonest:
+                    soonest = eta
+        if soonest < float("inf"):
             self._completion_event = self._sim.schedule(
                 soonest, self._on_completion_due
             )
@@ -629,13 +435,10 @@ class FlowNetwork:
     def _on_completion_due(self) -> None:
         self._completion_event = None
         self._advance()
-        now = self._sim.now
-        horizon = now + _SWEEP_SLACK * (1.0 + now)
+        # Insertion order is flow-id order, so callbacks fire by id.
         done = [
             flow
-            for comp in self._comps
-            if comp.eps_eta <= horizon
-            for flow in comp.flows
+            for flow in self._flows
             if flow.remaining <= _COMPLETION_EPSILON
         ]
         if not done:
@@ -643,7 +446,7 @@ class FlowNetwork:
             # ULPs; re-arm and let the next firing catch it.
             self._reschedule_completion()
             return
-        done.sort(key=lambda flow: flow.id)
+        now = self._sim.now
         for flow in done:
             flow.remaining = 0.0
             flow.completed_at = now

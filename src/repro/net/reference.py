@@ -1,18 +1,20 @@
-"""The pre-incremental flow solver, kept as an executable specification.
+"""The global progressive-filling flow solver, kept as an executable spec.
 
-:class:`ReferenceFlowNetwork` is the naive solver
-:class:`~repro.net.flownet.FlowNetwork` replaced: every flow
+:class:`ReferenceFlowNetwork` is the naive solver: every flow
 arrival/departure/cap/capacity change triggers a *global* progressive
-filling over all flows, byte accounting walks every flow's whole route
-on every advance, and completions rescan every flow.  It is
-deliberately simple — the allocation it produces *defines* correctness
-for the incremental solver:
+filling over all flows (rates rise together until a link saturates or
+a flow hits its cap), byte accounting walks every flow's whole route
+on every advance, and completions rescan every flow.
+:class:`~repro.net.flownet.FlowNetwork` replaced it with one
+bottleneck-ordered water-fill per coalesced timestamp.  The two reach
+the same max-min allocation by different arithmetic, so this one is
+deliberately simple and *defines* correctness for the other:
 
 * the property tests in ``tests/net/test_incremental_solver.py``
-  cross-check the incremental solver against it on randomized
+  cross-check the production solver against it on randomized
   topologies, caps, and update schedules;
 * ``benchmarks/bench_flownet.py`` uses it as the baseline the
-  incremental solver's speedup is measured against.
+  production solver's speedup is measured against.
 
 It mirrors the public :class:`~repro.net.flownet.FlowNetwork` surface
 (``start_flow`` / ``cancel_flow`` / ``set_rate_limit`` /
@@ -28,12 +30,15 @@ from typing import Callable
 
 from ..errors import NetworkError
 from .engine import EventHandle, Simulator
-from .flownet import _COMPLETION_EPSILON, _RATE_EPSILON, Flow
+from .flownet import _COMPLETION_EPSILON, Flow
 from .link import Link
+
+#: Rate increments below this are treated as zero in progressive filling.
+_RATE_EPSILON = 1e-9
 
 
 class ReferenceFlowNetwork:
-    """Globally re-solving max-min flow network (the pre-PR solver)."""
+    """Globally re-solving max-min flow network (progressive filling)."""
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim

@@ -23,6 +23,9 @@ into a disk cache:
 Keys incorporate :data:`STORE_SCHEMA` so a format change never
 misreads old entries: bump the version and every old entry simply
 misses (see ``docs/OBSERVABILITY.md`` for the schema-version policy).
+Keys also incorporate :func:`sim_code_fingerprint`, a digest of the
+simulation source, so an edit to the code that computes results misses
+the cache instead of being served results the old code produced.
 
 What is *not* cached: traced runs (a trace must be recorded live, on
 one clock, in one process) and profiled runs (an engine profile
@@ -32,6 +35,8 @@ The executor bypasses the store for both.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 import pickle
 from dataclasses import dataclass, replace
@@ -56,18 +61,58 @@ STORE_ENV_VAR = "REPRO_STORE"
 DEFAULT_STORE_DIR = ".repro-store"
 
 
+#: ``repro`` subpackages whose source decides a run's result: the lint
+#: ``sim-path`` list plus the video, splicing and CDN layers.
+SIM_CODE_PACKAGES = (
+    "net",
+    "p2p",
+    "experiments",
+    "abr",
+    "player",
+    "video",
+    "core",
+    "cdn",
+)
+
+
+def source_digest(root: Path, packages: tuple[str, ...]) -> str:
+    """sha256 over every ``.py`` file under ``root/<package>``.
+
+    Files are taken in sorted path order and each contributes its
+    root-relative path, its length and its bytes, so renaming, moving
+    or editing any file changes the digest.
+    """
+    digest = hashlib.sha256()
+    for package in packages:
+        for path in sorted((root / package).rglob("*.py")):
+            data = path.read_bytes()
+            name = path.relative_to(root).as_posix()
+            digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+            digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def sim_code_fingerprint() -> str:
+    """Digest of the simulation source, computed once per process."""
+    repro_root = Path(__file__).resolve().parents[1]
+    return source_digest(repro_root, SIM_CODE_PACKAGES)
+
+
 def run_identity(spec: RunSpec, schema: str = STORE_SCHEMA) -> str:
     """The content digest that *is* a run's cache identity.
 
     Only what determines the simulation's output participates: the
-    cell spec (technique, bandwidth, config — including fidelity,
-    seeds, churn —, policy, video identity) and the run's seed.  The
-    executor-side merge keys (``cell_index``/``seed_index``) and the
-    observability collection flags do not: the same run requested by
-    two different sweeps, or with different instrumentation, is still
-    the same run.
+    code that simulates (:func:`sim_code_fingerprint`), the cell spec
+    (technique, bandwidth, config — including fidelity, seeds, churn
+    —, policy, video identity) and the run's seed.  The executor-side
+    merge keys (``cell_index``/``seed_index``) and the observability
+    collection flags do not: the same run requested by two different
+    sweeps, or with different instrumentation, is still the same run.
     """
-    return content_digest((schema, spec.cell, spec.seed))
+    return content_digest(
+        (schema, sim_code_fingerprint(), spec.cell, spec.seed)
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,8 +9,12 @@ sweep resumes from disk.
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ from repro.parallel import (
     cell_for,
     run_identity,
 )
+from repro.parallel import store as store_module
 from repro.parallel.spec import RunSpec
 
 
@@ -102,6 +107,93 @@ class TestRunIdentity:
         assert run_identity(base, schema="repro.store/999") != (
             run_identity(base)
         )
+
+
+_IDENTITY_SCRIPT = """
+from repro.experiments.config import ExperimentConfig
+from repro.parallel import SplicerSpec, cell_for, run_identity
+from repro.parallel.spec import RunSpec
+from repro.parallel.store import sim_code_fingerprint
+
+config = ExperimentConfig(n_leechers=3, seeds=(5,))
+cell = cell_for(SplicerSpec("gop"), 512, config)
+spec = RunSpec(cell=cell, seed=5, cell_index=0, seed_index=0)
+print(sim_code_fingerprint(), run_identity(spec))
+"""
+
+
+def _other_fingerprint(monkeypatch):
+    monkeypatch.setattr(
+        store_module, "sim_code_fingerprint", lambda: "f" * 64
+    )
+
+
+class TestCodeFingerprint:
+    def test_key_is_stable_across_processes(self):
+        src = Path(store_module.__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", _IDENTITY_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout.split()
+        config = ExperimentConfig(n_leechers=3, seeds=(5,))
+        cell = cell_for(SplicerSpec("gop"), 512, config)
+        spec = RunSpec(cell=cell, seed=5, cell_index=0, seed_index=0)
+        assert out == [
+            store_module.sim_code_fingerprint(),
+            run_identity(spec),
+        ]
+
+    def test_fingerprint_changes_identity(
+        self, fast_config, short_video, monkeypatch
+    ):
+        base = run_identity(_spec(fast_config, short_video))
+        _other_fingerprint(monkeypatch)
+        assert run_identity(_spec(fast_config, short_video)) != base
+
+    def test_source_edit_changes_digest(self, tmp_path):
+        package = tmp_path / "net"
+        package.mkdir()
+        module = package / "flownet.py"
+        module.write_text("RATE = 1\n")
+        packages = ("net",)
+        before = store_module.source_digest(tmp_path, packages)
+        assert store_module.source_digest(tmp_path, packages) == before
+        module.write_text("RATE = 2\n")
+        edited = store_module.source_digest(tmp_path, packages)
+        assert edited != before
+        module.rename(package / "solver.py")
+        assert store_module.source_digest(tmp_path, packages) not in (
+            before,
+            edited,
+        )
+
+    def test_store_from_other_code_misses(
+        self, fast_config, short_video, tmp_path, monkeypatch
+    ):
+        cells = _cells(fast_config, short_video)
+        store = ResultStore(tmp_path / "store")
+        cold = SweepExecutor(jobs=1, store=store).run_cells(cells)
+        _other_fingerprint(monkeypatch)
+        rerun = SweepExecutor(jobs=1, store=store)
+        assert rerun.run_cells(cells) == cold
+        assert rerun.stats.runs_cached == 0
+        assert rerun.stats.cells_computed == len(cells)
+        assert store.stats.hits == 0
+
+    def test_plan_from_other_code_is_stale(self, tmp_path, monkeypatch):
+        from repro.experiments.sweep_service import build_plan, run_shard
+
+        _other_fingerprint(monkeypatch)
+        plan = build_plan("2", quick=True)
+        monkeypatch.undo()
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(StoreError, match="stale"):
+            run_shard(plan, 0, store)
+        assert len(store) == 0
 
 
 class TestWarmSweep:

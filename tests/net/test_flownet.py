@@ -289,10 +289,10 @@ class TestSameTimestampEdgeCases:
         # With A done and B cancelled, C owns the whole link.
         assert c.rate == pytest.approx(1000.0)
 
-    def test_epsilon_completion_sweeps_other_components(self, net):
-        # B sits within the completion epsilon in a different
-        # component when A's completion event fires; the sweep must
-        # still pick it up at the same instant.
+    def test_epsilon_completion_sweeps_other_links(self, net):
+        # B sits within the completion epsilon on a link A does not
+        # cross when A's completion event fires; the sweep must still
+        # pick it up at the same instant.
         sim, network = net
         a_link = Link("a", 1000.0)
         b_link = Link("b", 1000.0)
@@ -397,7 +397,7 @@ class TestIncrementalRecomputation:
         assert registry.counter("net.flownet.resolved_flows").value == 4
         assert all(f.rate == pytest.approx(250.0) for f in flows)
 
-    def test_untouched_component_keeps_cached_rates(self):
+    def test_cap_change_keeps_disjoint_flow_rate(self):
         sim, network, registry = self._instrumented()
         a = Link("a", 1000.0)
         b = Link("b", 800.0)
@@ -407,7 +407,7 @@ class TestIncrementalRecomputation:
         solves_before = registry.counter("net.flownet.resolves").value
         network.set_rate_limit(flow_a, 300.0)
         sim.run(until=2.0)
-        # Only flow_a's single-flow component re-solved.
+        # One coalesced solve; flow_b's rate on its own link holds.
         assert (
             registry.counter("net.flownet.resolves").value
             == solves_before + 1
@@ -415,7 +415,7 @@ class TestIncrementalRecomputation:
         assert flow_a.rate == pytest.approx(300.0)
         assert flow_b.rate == pytest.approx(800.0)
 
-    def test_components_merge_when_flow_bridges_them(self):
+    def test_bridging_flow_couples_rates_across_links(self):
         sim, network, _ = self._instrumented()
         a = Link("a", 300.0)
         b = Link("b", 900.0)
@@ -427,7 +427,7 @@ class TestIncrementalRecomputation:
         assert f2.rate == pytest.approx(150.0)
         assert f3.rate == pytest.approx(750.0)
 
-    def test_component_splits_after_bridge_cancel(self):
+    def test_bridge_cancel_restores_solo_link_rates(self):
         sim, network, registry = self._instrumented()
         a = Link("a", 300.0)
         b = Link("b", 900.0)
@@ -439,7 +439,7 @@ class TestIncrementalRecomputation:
         sim.run(until=2.0)
         assert f1.rate == pytest.approx(300.0)
         assert f3.rate == pytest.approx(900.0)
-        # After the split, churn on one side leaves the other alone.
+        # Without the bridge, churn on one link leaves the other alone.
         solves_before = registry.counter("net.flownet.resolves").value
         network.set_rate_limit(f1, 100.0)
         sim.run(until=3.0)

@@ -1,20 +1,23 @@
-"""Incremental solver vs the brute-force global reference.
+"""Production solver vs the brute-force global reference.
 
-:class:`~repro.net.flownet.FlowNetwork` re-solves only dirty
-link-connected components and coalesces same-timestamp updates;
-:class:`~repro.net.reference.ReferenceFlowNetwork` re-solves the whole
-network on every update.  For randomized topologies, caps, and update
-schedules (including same-instant bursts), both must agree on every
-observable: allocated rates, completion sets and times, and per-link
-byte accounting.
+:class:`~repro.net.flownet.FlowNetwork` runs one bottleneck-ordered
+water-fill over all active flows, once per coalesced timestamp;
+:class:`~repro.net.reference.ReferenceFlowNetwork` runs global
+progressive filling on every update.  For randomized topologies, caps,
+and update schedules (including same-instant bursts), both must agree
+on every observable: allocated rates, completion sets and times, and
+per-link byte accounting.
 
 Agreement is asserted to a tight relative tolerance rather than
-bit-for-bit: progressive filling over a component in isolation can
-round differently in the last ULP than the same component interleaved
-with unrelated components' filling rounds.  (On the repository's real
-workloads the two are bit-identical — the golden-trace digest test
-pins that — but randomized cross-component configurations may land on
-either side of a rounding.)
+bit-for-bit: the two algorithms reach the same max-min allocation by
+different float operations (a water-fill share is remaining capacity
+over unfrozen flows; a progressive-filling rate is a sum of uniform
+increments), so they may round differently in the last ULP.
+
+What *is* exact is decomposition: a flow's water-fill rate depends only
+on its own link-connected part of the network.  Running two
+link-disjoint parts on one network must give every flow the very same
+float it gets when its part runs alone.
 """
 
 from __future__ import annotations
@@ -203,3 +206,93 @@ class TestStaticAllocationParity:
         incremental = allocate(FlowNetwork)
         for got, want in zip(incremental, reference):
             assert got == pytest.approx(want, rel=_REL)
+
+
+@st.composite
+def disjoint_parts(draw):
+    """Two link-disjoint random sub-networks and an interleaving.
+
+    Capacities and caps mix free floats with a few fixed values so that
+    equal caps, equal link shares, cap-equals-share ties, and shares
+    that differ only in the last bits (thirds reached by different
+    float operations) all occur.
+    """
+    capacity = st.one_of(
+        st.sampled_from([90.0, 100.0, 200.0, 300.0, 900.0]),
+        st.floats(min_value=10.0, max_value=10_000.0),
+    )
+    cap = st.one_of(
+        st.none(),
+        st.sampled_from([30.0, 100.0 / 3, 50.0, 100.0, 150.0]),
+        st.floats(min_value=1.0, max_value=20_000.0),
+    )
+    parts = []
+    for prefix in ("a", "b"):
+        n_links = draw(st.integers(min_value=1, max_value=4))
+        capacities = [draw(capacity) for _ in range(n_links)]
+        flows = [
+            (
+                draw(
+                    st.lists(
+                        st.integers(min_value=0, max_value=n_links - 1),
+                        min_size=1,
+                        max_size=n_links,
+                        unique=True,
+                    )
+                ),
+                draw(cap),
+                draw(st.sampled_from([0.0, 0.0, 50.0, 400.0])),
+            )
+            for _ in range(draw(st.integers(min_value=1, max_value=8)))
+        ]
+        parts.append((prefix, capacities, flows))
+    if draw(st.booleans()):
+        # A near-copy of the first part: every share differs from its
+        # twin's in the last bits, the case a tolerance would merge.
+        scale = 1.0 + draw(st.sampled_from([1e-15, 1e-12, 1e-10]))
+        _, capacities, flows = parts[0]
+        parts[1] = (
+            "b",
+            [capacity * scale for capacity in capacities],
+            [
+                (route, None if limit is None else limit * scale, floor)
+                for route, limit, floor in flows
+            ],
+        )
+    order = draw(
+        st.permutations([0] * len(parts[0][2]) + [1] * len(parts[1][2]))
+    )
+    return parts, order
+
+
+def _start_parts(parts, order):
+    """Start every flow of ``parts`` in ``order``; return rates per part."""
+    network = FlowNetwork(Simulator())
+    links = [
+        [Link(f"{prefix}{i}", capacity) for i, capacity in enumerate(caps)]
+        for prefix, caps, _ in parts
+    ]
+    pending = [iter(flows) for _, _, flows in parts]
+    started: list[list] = [[] for _ in parts]
+    for index in order:
+        route, limit, floor = next(pending[index])
+        started[index].append(
+            network.start_flow(
+                [links[index][i] for i in route],
+                1e9,
+                rate_limit=limit,
+                min_efficient_rate=floor,
+            )
+        )
+    return [[flow.rate for flow in flows] for flows in started]
+
+
+class TestExactDecomposition:
+    @settings(max_examples=300, deadline=None)
+    @given(case=disjoint_parts())
+    def test_disjoint_parts_get_their_solo_rates_exactly(self, case):
+        parts, order = case
+        together = _start_parts(parts, order)
+        for index, part in enumerate(parts):
+            alone = _start_parts([part], [0] * len(part[2]))[0]
+            assert together[index] == alone

@@ -7,7 +7,8 @@ Commands:
   figure (``--quick`` runs a reduced sweep for a fast look);
 * ``overhead`` — the splicing byte-overhead table (ablation A3);
 * ``rspec`` — print the experiment's request RSpec XML (Fig. 1);
-* ``timeline`` — run one swarm and render per-peer session timelines;
+* ``timeline`` — run one traced swarm and render its per-peer
+  session timelines, stalls marked by cause;
 * ``trace`` — summarize a JSONL trace written by ``reproduce --trace``;
 * ``analyze`` — diagnose a JSONL trace: per-peer timelines, stall
   root-cause attribution, and an optional cause-marked Gantt chart;
@@ -43,7 +44,6 @@ from .experiments import fig2, fig3, fig4, fig5
 from .experiments.ablations import run_overhead
 from .experiments.config import ExperimentConfig, make_swarm_config
 from .experiments.report import format_figure
-from .experiments.timeline import render_timeline
 from .obs import (
     Observability,
     analyze_events,
@@ -52,10 +52,10 @@ from .obs import (
     dump_jsonl,
     event_counts,
     load_jsonl,
+    peer_summaries,
     render_analysis,
     render_gantt,
     render_trace_summary,
-    summarize_trace,
 )
 from .obs.events import TraceEvent
 from .p2p.swarm import Swarm, SwarmConfig
@@ -786,7 +786,8 @@ def _write_run_manifest(
     wall_seconds: float = 0.0,
 ) -> int:
     """Record one ``reproduce`` invocation as a JSON manifest."""
-    from .obs import dump_json, run_manifest
+    from .jsonio import write_json
+    from .obs import run_manifest
 
     command = "reproduce"
     if args.quick:
@@ -837,7 +838,7 @@ def _write_run_manifest(
         cache=cache,
     )
     try:
-        dump_json(payload, args.manifest)
+        write_json(payload, args.manifest)
     except OSError as exc:
         print(
             f"error: cannot write manifest '{args.manifest}': {exc}",
@@ -920,12 +921,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     events = _load_trace(args.path)
     if events is None:
         return 2
-    try:
-        summaries = summarize_trace(events)
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_trace_summary(summaries))
+    timelines = build_timelines(events)
+    for violation in timelines.violations:
+        if violation.rule == "stall-end-unmatched":
+            print(
+                f"error: {violation.peer}: {violation.detail}",
+                file=sys.stderr,
+            )
+            return 2
+    print(render_trace_summary(peer_summaries(timelines)))
     print()
     _print_event_counts(events)
     return 0
@@ -1155,6 +1159,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """
     from .errors import OpsError, StoreError, SweepError
     from .experiments import sweep_service
+    from .jsonio import write_json
     from .parallel import ResultStore, SweepProgress
 
     jobs = getattr(args, "jobs", None)
@@ -1186,7 +1191,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         fidelity=args.fidelity,
                         shards=args.shards,
                     )
-                    sweep_service.dump_plan(plan, target)
+                    write_json(plan, target)
                     span.attrs["runs"] = plan["total_runs"]
             per_shard = ", ".join(
                 str(sum(1 for run in plan["runs"]
@@ -1283,8 +1288,10 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         n_leechers=args.peers,
         seed=args.seed,
     )
-    result = Swarm(splice, config).run()
-    print(render_timeline(result))
+    obs = Observability.tracing()
+    Swarm(splice, config, obs=obs).run()
+    timelines = build_timelines(obs.events())
+    print(render_gantt(timelines, attribute_stalls(timelines), width=80))
     return 0
 
 

@@ -29,12 +29,12 @@ degrades gracefully into resume.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from ..errors import StoreError
+from ..jsonio import check_schema, read_json
 from ..obs.ops import (
     NULL_HEARTBEAT,
     NULL_OPS,
@@ -50,7 +50,11 @@ from ..parallel import (
     SweepProgress,
 )
 from ..parallel.spec import CellSpec, RunSpec
-from ..parallel.store import STORE_SCHEMA, run_identity
+from ..parallel.store import (
+    STORE_SCHEMA,
+    run_identity,
+    sim_code_fingerprint,
+)
 from . import fig2, fig3, fig4, fig5
 from .config import ExperimentConfig
 from .runner import FigureResult
@@ -153,6 +157,7 @@ def build_plan(
     return {
         "schema": SWEEP_SCHEMA,
         "store_schema": STORE_SCHEMA,
+        "sim_code": sim_code_fingerprint(),
         "figure": figure,
         "quick": quick,
         "fidelity": fidelity,
@@ -162,19 +167,17 @@ def build_plan(
     }
 
 
-def validate_plan(payload: object) -> dict:
+def validate_plan(payload: object, what: str = "sweep plan") -> dict:
     """Check a plan document's shape; returns it on success.
+
+    Args:
+        what: how error messages name the document (loaders add the
+            file path).
 
     Raises:
         StoreError: on schema drift or a structurally invalid plan.
     """
-    if not isinstance(payload, dict):
-        raise StoreError("sweep plan must be a JSON object")
-    schema = payload.get("schema")
-    if schema != SWEEP_SCHEMA:
-        raise StoreError(
-            f"sweep plan schema {schema!r} is not {SWEEP_SCHEMA!r}"
-        )
+    check_schema(payload, SWEEP_SCHEMA, StoreError, what)
     figure = payload.get("figure")
     if figure not in FIGURE_MODULES:
         raise StoreError(f"sweep plan names unknown figure {figure!r}")
@@ -203,23 +206,9 @@ def validate_plan(payload: object) -> dict:
 
 def load_plan(path: str | Path) -> dict:
     """Read and validate a plan written by ``repro sweep plan``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise StoreError(f"cannot read sweep plan {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise StoreError(
-            f"sweep plan {path} is not valid JSON: {exc}"
-        ) from exc
-    return validate_plan(payload)
-
-
-def dump_plan(plan: dict, path: str | Path) -> None:
-    """Write a plan document as stable, diffable JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(plan, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    return validate_plan(
+        read_json(path, StoreError, "sweep plan"), f"sweep plan {path}"
+    )
 
 
 def _rebuild_specs(plan: dict) -> dict[str, RunSpec]:

@@ -31,9 +31,8 @@ Bump the schema integer on any backwards-incompatible layout change
 
 from __future__ import annotations
 
-import json
-
 from ..errors import LintError
+from ..jsonio import check_schema, read_json
 
 #: Schema tag of the JSON findings document.
 LINT_SCHEMA = "repro.lint/1"
@@ -86,49 +85,43 @@ def build_payload(
     }
 
 
-def validate_payload(payload: dict) -> dict:
+def _check_keys(entry: object, keys: frozenset, what: str) -> None:
+    if not isinstance(entry, dict):
+        raise LintError(f"{what} must be an object, got {entry!r}")
+    missing = keys - set(entry)
+    if missing:
+        raise LintError(
+            f"{what} missing keys: {', '.join(sorted(missing))}"
+        )
+
+
+def validate_payload(payload: object, what: str = "lint payload") -> dict:
     """Check ``payload`` against ``repro.lint/1``; return it.
+
+    Args:
+        what: how error messages name the document (loaders add the
+            file path).
 
     Raises:
         LintError: the payload is not a recognisable lint document
             (wrong/missing schema tag, missing sections, or findings
             entries with missing keys).
     """
-    if not isinstance(payload, dict):
-        raise LintError("lint payload must be a JSON object")
-    schema = payload.get("schema")
-    if schema != LINT_SCHEMA:
-        raise LintError(
-            f"unrecognised lint schema {schema!r} "
-            f"(expected {LINT_SCHEMA!r})"
-        )
+    check_schema(payload, LINT_SCHEMA, LintError, what)
     for key in ("catalog", "findings", "unused_suppressions",
                 "statistics", "clean"):
         if key not in payload:
-            raise LintError(f"lint payload missing {key!r}")
-    if not isinstance(payload["findings"], list):
-        raise LintError("lint payload 'findings' must be a list")
-    for entry in payload["findings"]:
-        missing = _FINDING_KEYS - set(entry)
-        if missing:
-            raise LintError(
-                f"finding entry missing keys: "
-                f"{', '.join(sorted(missing))}"
-            )
-    for entry in payload["unused_suppressions"]:
-        missing = _UNUSED_KEYS - set(entry)
-        if missing:
-            raise LintError(
-                f"unused-suppression entry missing keys: "
-                f"{', '.join(sorted(missing))}"
-            )
-    statistics = payload["statistics"]
-    missing = _STATISTICS_KEYS - set(statistics)
-    if missing:
-        raise LintError(
-            f"statistics block missing keys: "
-            f"{', '.join(sorted(missing))}"
-        )
+            raise LintError(f"{what} missing {key!r}")
+    for key, keys, entry_what in (
+        ("findings", _FINDING_KEYS, "finding entry"),
+        ("unused_suppressions", _UNUSED_KEYS,
+         "unused-suppression entry"),
+    ):
+        if not isinstance(payload[key], list):
+            raise LintError(f"{what} {key!r} must be a list")
+        for entry in payload[key]:
+            _check_keys(entry, keys, entry_what)
+    _check_keys(payload["statistics"], _STATISTICS_KEYS, "statistics block")
     return payload
 
 
@@ -138,11 +131,6 @@ def load_payload(path: str) -> dict:
     Raises:
         LintError: unreadable file, invalid JSON, or schema drift.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise LintError(f"cannot read '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LintError(f"'{path}' is not valid JSON: {exc}") from exc
-    return validate_payload(payload)
+    return validate_payload(
+        read_json(path, LintError, "lint payload"), f"lint payload {path}"
+    )

@@ -99,14 +99,13 @@ from .events import (
 )
 from .export import (
     PeerTraceSummary,
-    dump_json,
     dump_jsonl,
     event_counts,
     events_to_jsonl,
     load_jsonl,
+    peer_summaries,
     render_run_report,
     render_trace_summary,
-    summarize_trace,
     timeseries_csv,
 )
 from .metrics import (
@@ -232,7 +231,6 @@ __all__ = [
     "cause_histogram",
     "compare_artifacts",
     "critical_path",
-    "dump_json",
     "dump_jsonl",
     "environment_block",
     "event_counts",
@@ -251,6 +249,7 @@ __all__ = [
     "merge_analyses",
     "merge_ops_path",
     "ops_root",
+    "peer_summaries",
     "read_heartbeat",
     "render_analysis",
     "render_attributions",
@@ -266,7 +265,6 @@ __all__ = [
     "run_manifest",
     "shard_ops_path",
     "span_from_dict",
-    "summarize_trace",
     "timeseries_csv",
     "validate_artifact",
 ]

@@ -28,8 +28,13 @@ from .causes import (
 )
 from .context import Observability
 from .events import TraceEvent
-from .export import PeerTraceSummary, load_jsonl, render_trace_summary
-from .timeline import InvariantViolation, PeerTimeline, build_timelines
+from .export import (
+    PeerTraceSummary,
+    load_jsonl,
+    peer_summaries,
+    render_trace_summary,
+)
+from .timeline import InvariantViolation, build_timelines
 
 _EPS = 1e-9
 
@@ -46,8 +51,7 @@ class RunAnalysis:
             (peer, start time).
         causes: cause -> count, every taxonomy entry present.
         peers: per-peer QoE summaries reconstructed from the timeline
-            pass (tolerant of truncated traces, unlike
-            :func:`~repro.obs.export.summarize_trace`).
+            pass (:func:`~repro.obs.export.peer_summaries`).
         violations: event-ordering invariants the trace broke.
         truncated: whether the trace lost its head to a capacity-bounded
             ring buffer.
@@ -110,21 +114,6 @@ class CellAnalysis:
             if count and (best is None or count > self.causes[best]):
                 best = cause
         return best
-
-
-def _peer_summary(line: PeerTimeline) -> PeerTraceSummary:
-    complete = [s for s in line.stalls if s.complete]
-    return PeerTraceSummary(
-        peer=line.peer,
-        joined=line.joined,
-        startup_time=line.startup_time,
-        stall_count=len(complete),
-        total_stall_duration=sum(
-            s.duration for s in complete if s.duration is not None
-        ),
-        finished=line.finished_at is not None,
-        departed=line.departed_at is not None,
-    )
 
 
 def _transfer_efficiency(timelines) -> float | None:
@@ -193,10 +182,7 @@ def analyze_events(
     return RunAnalysis(
         attributions=attributions,
         causes=cause_histogram(list(attributions)),
-        peers={
-            name: _peer_summary(line)
-            for name, line in timelines.timelines.items()
-        },
+        peers=peer_summaries(timelines),
         violations=tuple(timelines.violations),
         truncated=timelines.truncated,
         notes=tuple(timelines.notes),

@@ -40,8 +40,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 from ..errors import ArtifactError, BenchError
+from ..jsonio import check_schema, read_json, write_json
 from . import manifest as _manifest
-from .export import dump_json
 
 #: The schema tag written into and required from every artifact.
 SCHEMA = _manifest.ARTIFACT_SCHEMA
@@ -366,7 +366,7 @@ class BenchHarness:
         target.parent.mkdir(parents=True, exist_ok=True)
         payload = self.artifact()
         validate_artifact(payload)
-        dump_json(payload, str(target))
+        write_json(payload, target)
         return target
 
     # -- conveniences for suites ---------------------------------------
@@ -539,21 +539,17 @@ def _validate_case(case: Any, index: int, seen: set[str]) -> None:
         )
 
 
-def validate_artifact(payload: Any) -> None:
+def validate_artifact(payload: Any, what: str = "artifact") -> None:
     """Check an artifact against schema ``repro.bench/1``.
+
+    Args:
+        what: how error messages name the document (loaders add the
+            file path).
 
     Raises:
         ArtifactError: naming the first offending field.
     """
-    if not isinstance(payload, dict):
-        _fail("$", "artifact must be a JSON object")
-    schema = payload.get("schema")
-    if schema != SCHEMA:
-        _fail(
-            "schema",
-            f"unsupported schema {schema!r} (this reader understands "
-            f"{SCHEMA!r})",
-        )
+    check_schema(payload, SCHEMA, ArtifactError, what)
     suite = payload.get("suite")
     if not isinstance(suite, str) or not suite:
         _fail("suite", f"expected a non-empty string, got {suite!r}")
@@ -592,21 +588,8 @@ def load_artifact(path: str | Path) -> dict:
     Raises:
         ArtifactError: unreadable file, bad JSON, or schema violation.
     """
-    import json
-
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ArtifactError(
-            f"cannot read artifact {str(path)!r}: {exc}"
-        ) from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(
-            f"artifact {str(path)!r} is not valid JSON: {exc}"
-        ) from exc
-    validate_artifact(payload)
+    payload = read_json(path, ArtifactError, "artifact")
+    validate_artifact(payload, f"artifact {path}")
     return payload
 
 

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from typing import IO, Iterable, TextIO
 
 from ..errors import TraceError
+from ..jsonio import read_jsonl
 from .context import Observability
 from .events import TraceEvent, event_from_dict
 from .metrics import MetricsRegistry
+from .timeline import TimelineSet, build_timelines
 
 # -- JSONL -------------------------------------------------------------
 
@@ -51,33 +53,13 @@ def load_jsonl(source: str | IO[str]) -> list[TraceEvent]:
     """Parse a JSONL trace back into typed events.
 
     Raises:
-        TraceError: when the file is missing, a line is not valid
-            JSON, or a record does not match any known event type.
+        TraceError: when the file is missing, a line is not a JSON
+            object, or a record does not match any known event type.
     """
-    if isinstance(source, str):
-        try:
-            handle: IO[str] = open(source, "r", encoding="utf-8")
-        except OSError as exc:
-            raise TraceError(f"cannot read trace {source!r}: {exc}") from exc
-        with handle:
-            return load_jsonl(handle)
-    events: list[TraceEvent] = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(
-                f"corrupt trace: line {lineno} is not JSON: {exc}"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise TraceError(
-                f"corrupt trace: line {lineno} is not an object"
-            )
-        events.append(event_from_dict(payload))
-    return events
+    return [
+        event_from_dict(record)
+        for record in read_jsonl(source, TraceError, "trace")
+    ]
 
 
 def events_to_jsonl(events: Iterable[TraceEvent]) -> str:
@@ -85,24 +67,6 @@ def events_to_jsonl(events: Iterable[TraceEvent]) -> str:
     buffer = io.StringIO()
     dump_jsonl(events, buffer)
     return buffer.getvalue()
-
-
-# -- JSON documents ----------------------------------------------------
-
-
-def dump_json(payload: dict, destination: str | TextIO) -> None:
-    """Write one JSON document (sorted keys, indented, trailing \\n).
-
-    The one encoder every machine-readable artifact goes through —
-    benchmark artifacts, run manifests — so diffs of committed
-    artifacts stay minimal and stable.
-    """
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            dump_json(payload, handle)
-        return
-    json.dump(payload, destination, indent=2, sort_keys=True)
-    destination.write("\n")
 
 
 # -- CSV ---------------------------------------------------------------
@@ -148,70 +112,30 @@ class PeerTraceSummary:
     departed: bool
 
 
-def summarize_trace(
-    events: Iterable[TraceEvent],
-) -> dict[str, PeerTraceSummary]:
-    """Reduce a trace to per-peer session summaries.
+def peer_summaries(timelines: TimelineSet) -> dict[str, PeerTraceSummary]:
+    """Reduce reconstructed timelines to per-peer session summaries.
 
-    Stalls are counted only when both ``StallStarted`` and the matching
-    ``StallEnded`` appear (an unpaired start means the run's safety cap
-    cut the session short — exactly the convention of
+    Stalls are counted only when both endpoints were traced (an
+    unpaired start means the run's safety cap cut the session short —
+    exactly the convention of
     :class:`~repro.player.metrics.StreamingMetrics`, which records a
     stall only once it has ended).
-
-    Raises:
-        TraceError: when a ``StallEnded`` appears with no matching
-            ``StallStarted``.
     """
-    joined: dict[str, float] = {}
-    startup: dict[str, float] = {}
-    open_stalls: dict[str, tuple[float, int]] = {}
-    stall_counts: dict[str, int] = {}
-    stall_durations: dict[str, float] = {}
-    finished: set[str] = set()
-    departed: set[str] = set()
-    peers: set[str] = set()
-
-    for event in events:
-        name = event.name
-        peer = getattr(event, "peer", None)
-        if peer is None:
-            continue
-        peers.add(peer)
-        if name == "PeerJoined":
-            joined.setdefault(peer, event.time)
-        elif name == "PeerDeparted":
-            departed.add(peer)
-        elif name == "PlaybackStarted":
-            startup.setdefault(peer, event.startup_time)
-        elif name == "StallStarted":
-            open_stalls[peer] = (event.time, event.segment)
-        elif name == "StallEnded":
-            opened = open_stalls.pop(peer, None)
-            if opened is None:
-                raise TraceError(
-                    f"StallEnded for {peer!r} at t={event.time} has no "
-                    "matching StallStarted"
-                )
-            stall_counts[peer] = stall_counts.get(peer, 0) + 1
-            stall_durations[peer] = (
-                stall_durations.get(peer, 0.0) + event.duration
-            )
-        elif name == "PlaybackFinished":
-            finished.add(peer)
-
-    return {
-        peer: PeerTraceSummary(
-            peer=peer,
-            joined=joined.get(peer),
-            startup_time=startup.get(peer),
-            stall_count=stall_counts.get(peer, 0),
-            total_stall_duration=stall_durations.get(peer, 0.0),
-            finished=peer in finished,
-            departed=peer in departed,
+    summaries = {}
+    for name, line in timelines.timelines.items():
+        complete = [s for s in line.stalls if s.complete]
+        summaries[name] = PeerTraceSummary(
+            peer=name,
+            joined=line.joined,
+            startup_time=line.startup_time,
+            stall_count=len(complete),
+            total_stall_duration=sum(
+                (s.duration for s in complete), 0.0
+            ),
+            finished=line.finished_at is not None,
+            departed=line.departed_at is not None,
         )
-        for peer in sorted(peers)
-    }
+    return summaries
 
 
 def render_trace_summary(
@@ -267,11 +191,12 @@ def render_run_report(obs: Observability) -> str:
     parts: list[str] = ["# Run report"]
     events = obs.events()
     if events:
+        summaries = peer_summaries(build_timelines(events))
         parts += [
             "",
             "## Per-peer sessions (from trace)",
             "",
-            render_trace_summary(summarize_trace(events)),
+            render_trace_summary(summaries),
             "",
             "## Events by category",
             "",

@@ -112,10 +112,19 @@ def git_info(root: str | Path | None = None) -> dict | None:
 
 
 def build_manifest() -> dict:
-    """The provenance block embedded in every benchmark artifact."""
+    """The provenance block embedded in every benchmark artifact.
+
+    ``sim_code`` is the result-store code fingerprint, so an artifact
+    names the simulation source that produced it even when the git
+    block is missing or dirty.
+    """
+    # Imported here: repro.parallel imports repro.obs.
+    from ..parallel.store import sim_code_fingerprint
+
     return {
         "env": environment_block(),
         "git": git_info(),
+        "sim_code": sim_code_fingerprint(),
     }
 
 
@@ -158,4 +167,6 @@ def render_environment(manifest: dict | None = None) -> str:
     if git is not None:
         state = "dirty" if git.get("dirty") else "clean"
         lines.append(f"git {git.get('sha', '?')[:12]} ({state})")
+    if manifest.get("sim_code"):
+        lines.append(f"sim-code {manifest['sim_code'][:12]}")
     return "\n".join(lines)

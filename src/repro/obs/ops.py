@@ -8,7 +8,7 @@ Three cooperating pieces, all speaking ``repro.ops/1``:
   ``repro ops PATH`` renders it back as a wall-clock tree with a
   critical-path summary.
 * :class:`ShardHeartbeat` — a single JSON file a running shard
-  atomically rewrites (temp file + ``os.replace``) every
+  atomically rewrites (:func:`~repro.jsonio.replace_atomically`) every
   ``interval`` seconds: shard id, run counters, last commit time, and
   an ETA from the observed run rate.  A reader can never see a torn
   heartbeat, and a killed shard is detectable because its heartbeat
@@ -39,6 +39,7 @@ from statistics import median
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import OpsError
+from ..jsonio import check_schema, read_json, read_jsonl, replace_atomically
 from .span import OPS_SCHEMA, Span, span_from_dict
 
 #: Directory (under a result-store root) holding ops logs and
@@ -223,35 +224,18 @@ def load_ops(path: str | Path) -> list[Span]:
         OpsError: unreadable file, malformed JSON, missing/unknown
             header schema, or a structurally invalid span record.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OpsError(f"cannot read ops log {path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    records = read_jsonl(path, OpsError, "ops log")
+    if not records:
         raise OpsError(f"ops log {path} is empty")
-    records = []
-    for number, line in enumerate(lines, start=1):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise OpsError(
-                f"ops log {path} line {number} is not valid JSON: "
-                f"{exc}"
-            ) from exc
     header = records[0]
-    if not isinstance(header, dict) or header.get("kind") != "header":
+    if header.get("kind") != "header":
         raise OpsError(
             f"ops log {path} does not start with a header record"
         )
-    schema = header.get("schema")
-    if schema != OPS_SCHEMA:
-        raise OpsError(
-            f"ops log {path} schema {schema!r} is not {OPS_SCHEMA!r}"
-        )
+    check_schema(header, OPS_SCHEMA, OpsError, f"ops log {path}")
     spans = []
     for record in records[1:]:
-        if isinstance(record, dict) and record.get("kind") != "span":
+        if record.get("kind") != "span":
             continue
         spans.append(span_from_dict(record))
     return spans
@@ -263,7 +247,7 @@ class ShardHeartbeat:
     The executor drives it like the progress reporter: :meth:`begin`
     with the shard's run count, :meth:`update` once per settled run,
     :meth:`finish` with a terminal state.  Every write is a whole new
-    document moved into place with ``os.replace``, so concurrent
+    document moved into place atomically, so concurrent
     readers (``repro sweep status --watch``) never see a torn file.
 
     Args:
@@ -370,15 +354,10 @@ class ShardHeartbeat:
             "rate_runs_per_s": rate,
             "eta_s": eta,
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(
-            f"{self.path.name}.tmp.{os.getpid()}"
+        replace_atomically(
+            self.path,
+            (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"),
         )
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, self.path)
         self._last_write = now
 
 
@@ -414,32 +393,16 @@ def read_heartbeat(path: str | Path) -> dict:
     Raises:
         OpsError: unreadable file, malformed JSON, or schema drift.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OpsError(
-            f"cannot read heartbeat {path}: {exc}"
-        ) from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise OpsError(
-            f"heartbeat {path} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(payload, dict):
-        raise OpsError(f"heartbeat {path} is not a JSON object")
-    schema = payload.get("schema")
-    if schema != OPS_SCHEMA:
-        raise OpsError(
-            f"heartbeat {path} schema {schema!r} is not "
-            f"{OPS_SCHEMA!r}"
-        )
+    what = f"heartbeat {path}"
+    payload = check_schema(
+        read_json(path, OpsError, "heartbeat"), OPS_SCHEMA, OpsError, what
+    )
     if payload.get("kind") != "heartbeat":
-        raise OpsError(f"heartbeat {path} has kind "
+        raise OpsError(f"{what} has kind "
                        f"{payload.get('kind')!r}, not 'heartbeat'")
     shard = payload.get("shard")
     if not isinstance(shard, int) or shard < 0:
-        raise OpsError(f"heartbeat {path} has invalid shard {shard!r}")
+        raise OpsError(f"{what} has invalid shard {shard!r}")
     return payload
 
 
@@ -610,6 +573,8 @@ def render_fleet(
         f"{len(statuses)} shard(s), "
         f"{total_done}/{total_planned} runs done"
     )
+    if plan.get("sim_code"):
+        header += f", sim-code {plan['sim_code'][:12]}"
     lines = [header]
     for status in statuses:
         bar = _bar(status.done, status.planned)

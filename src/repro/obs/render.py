@@ -2,16 +2,16 @@
 
 One row per peer, one column per time bucket, with stall spans marked
 by the *cause letter* the attribution pass assigned — so a glance
-shows not just where sessions froze but why.  Visual style follows
-:mod:`repro.experiments.timeline` (the metrics-based renderer); this
-one works from a trace instead of live metrics and therefore also
-works on traces loaded from disk.
+shows not just where sessions froze but why.  It works from a trace,
+so ``repro timeline`` (a live run) and ``repro analyze --gantt`` (a
+trace loaded from disk) draw the same chart.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from ..errors import TraceError
 from .causes import StallAttribution
 from .timeline import PeerTimeline, TimelineSet
 
@@ -55,6 +55,24 @@ def _symbol_at(
     return "="
 
 
+def _horizon(timelines: TimelineSet) -> float:
+    """Where the time axis ends: the last peer's finish or departure.
+
+    The trace's last event is the run's ``max_time`` cap, which can
+    lie far beyond every session; it is kept only while some peer was
+    still present (neither finished nor departed) when the run ended.
+    """
+    ends = []
+    for line in timelines.timelines.values():
+        if line.finished_at is None and line.departed_at is None:
+            return timelines.last_time
+        ends.append(max(
+            t for t in (line.finished_at, line.departed_at)
+            if t is not None
+        ))
+    return max(ends)
+
+
 def render_gantt(
     timelines: TimelineSet,
     attributions: Sequence[StallAttribution] = (),
@@ -68,10 +86,15 @@ def render_gantt(
             :func:`~repro.obs.causes.attribute_stalls`; stalls without
             a matching verdict render as ``#``.
         width: columns in the time axis.
+
+    Raises:
+        TraceError: ``width`` is below 10 columns.
     """
+    if width < 10:
+        raise TraceError(f"width must be >= 10, got {width}")
     if not timelines.timelines:
         return "(no peers in trace)"
-    horizon = max(timelines.last_time, 1e-9)
+    horizon = max(_horizon(timelines), 1e-9)
     scale = horizon / width
 
     verdicts: dict[tuple[str, float], str] = {

@@ -274,7 +274,7 @@ class SweepExecutor:
                 "cell": outcome.label,
                 "seed": outcome.seed,
                 "cached": outcome.cached,
-                "pid": getattr(outcome, "pid", 0),
+                "pid": outcome.pid,
             }
             if outcome.error is not None:
                 attrs["error"] = outcome.error

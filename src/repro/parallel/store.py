@@ -43,6 +43,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..errors import StoreError
+from ..jsonio import replace_atomically
 from ..obs.ops import NULL_OPS, OpsLog
 from .digest import content_digest
 from .spec import RunSpec
@@ -61,42 +62,33 @@ STORE_ENV_VAR = "REPRO_STORE"
 DEFAULT_STORE_DIR = ".repro-store"
 
 
-#: ``repro`` subpackages whose source decides a run's result: the lint
-#: ``sim-path`` list plus the video, splicing and CDN layers.
-SIM_CODE_PACKAGES = (
-    "net",
-    "p2p",
-    "experiments",
-    "abr",
-    "player",
-    "video",
-    "core",
-    "cdn",
-)
-
-
-def source_digest(root: Path, packages: tuple[str, ...]) -> str:
-    """sha256 over every ``.py`` file under ``root/<package>``.
+def source_digest(root: Path) -> str:
+    """sha256 over every ``.py`` file under ``root``.
 
     Files are taken in sorted path order and each contributes its
     root-relative path, its length and its bytes, so renaming, moving
     or editing any file changes the digest.
     """
     digest = hashlib.sha256()
-    for package in packages:
-        for path in sorted((root / package).rglob("*.py")):
-            data = path.read_bytes()
-            name = path.relative_to(root).as_posix()
-            digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
-            digest.update(data)
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(root).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
     return digest.hexdigest()
 
 
 @functools.cache
 def sim_code_fingerprint() -> str:
-    """Digest of the simulation source, computed once per process."""
-    repro_root = Path(__file__).resolve().parents[1]
-    return source_digest(repro_root, SIM_CODE_PACKAGES)
+    """Digest of the whole ``repro`` source, computed once per process.
+
+    The whole package, not a hand-kept list of simulation layers: a
+    result depends on shared helpers (``repro.units``,
+    ``repro.bwest``), on analysis rules cached inside entries
+    (``repro.obs.causes``), and on the layout of the pickled
+    dataclasses an entry holds, which live outside the simulator.
+    """
+    return source_digest(Path(__file__).resolve().parents[1])
 
 
 def run_identity(spec: RunSpec, schema: str = STORE_SCHEMA) -> str:
@@ -140,7 +132,7 @@ class ResultStore:
 
     Layout: ``<root>/<k[:2]>/<k>.pkl`` where ``k`` is
     :func:`run_identity` of the run.  Entries are committed atomically
-    (temp file + ``os.replace``), so concurrent writers — pool
+    (:func:`~repro.jsonio.replace_atomically`), so concurrent writers — pool
     workers, parallel shards on a shared filesystem — can only ever
     race to write equivalent entries, never corrupt one.
 
@@ -238,12 +230,6 @@ class ResultStore:
         outcome = entry.get("outcome")
         if not isinstance(outcome, RunOutcome) or not outcome.ok:
             return None
-        # Entries pickled before the optional ``pid`` field existed
-        # unpickle with that slot unset; default it so field access
-        # and ``dataclasses.replace`` keep working (this is why the
-        # addition was not a schema bump).
-        if getattr(outcome, "pid", None) is None:
-            object.__setattr__(outcome, "pid", 0)
         return outcome
 
     def put(self, spec: RunSpec, outcome: RunOutcome) -> None:
@@ -277,13 +263,10 @@ class ResultStore:
         self._count(stores=1)
 
     def _commit(self, key: str, entry: dict) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_bytes(
-            pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+        replace_atomically(
+            self._path(key),
+            pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL),
         )
-        os.replace(tmp, path)
 
     def keys(self) -> list[str]:
         """Every entry key in the store, sorted."""
@@ -338,12 +321,7 @@ class ResultStore:
             target = self._path(key)
             if target.exists():
                 continue
-            target.parent.mkdir(parents=True, exist_ok=True)
-            tmp = target.with_name(
-                f"{target.name}.tmp.{os.getpid()}"
-            )
-            tmp.write_bytes(other._path(key).read_bytes())
-            os.replace(tmp, target)
+            replace_atomically(target, other._path(key).read_bytes())
             copied += 1
         return copied
 

@@ -60,11 +60,7 @@ class RunOutcome:
             being computed this sweep; ``wall_seconds`` then reports
             what the *original* execution cost.
         pid: process id that executed the run (the parent for
-            in-process sweeps, a pool worker otherwise).  Entries
-            pickled before the field existed unpickle without the
-            slot; the store defaults it to ``0`` on load, which is
-            why adding this optional field is not a ``repro.store``
-            schema bump.
+            in-process sweeps, a pool worker otherwise).
     """
 
     cell_index: int

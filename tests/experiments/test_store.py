@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -159,17 +160,46 @@ class TestCodeFingerprint:
         package.mkdir()
         module = package / "flownet.py"
         module.write_text("RATE = 1\n")
-        packages = ("net",)
-        before = store_module.source_digest(tmp_path, packages)
-        assert store_module.source_digest(tmp_path, packages) == before
+        before = store_module.source_digest(tmp_path)
+        assert store_module.source_digest(tmp_path) == before
         module.write_text("RATE = 2\n")
-        edited = store_module.source_digest(tmp_path, packages)
+        edited = store_module.source_digest(tmp_path)
         assert edited != before
         module.rename(package / "solver.py")
-        assert store_module.source_digest(tmp_path, packages) not in (
+        assert store_module.source_digest(tmp_path) not in (
             before,
             edited,
         )
+
+    def test_edit_outside_the_simulator_changes_fingerprint(
+        self, tmp_path
+    ):
+        """``repro/units.py`` sets the MSS the TCP model uses; an edit
+        there must change every run key, like an edit to ``net/``."""
+        package = Path(store_module.__file__).resolve().parents[1]
+        copy = tmp_path / "src" / "repro"
+        shutil.copytree(
+            package, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        env = {**os.environ, "PYTHONPATH": str(copy.parent)}
+        script = (
+            "from repro.parallel.store import sim_code_fingerprint; "
+            "print(sim_code_fingerprint())"
+        )
+
+        def fingerprint() -> str:
+            return subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            ).stdout.strip()
+
+        before = fingerprint()
+        units = copy / "units.py"
+        units.write_text(units.read_text() + "\n# edited\n")
+        assert fingerprint() != before
 
     def test_store_from_other_code_misses(
         self, fast_config, short_video, tmp_path, monkeypatch

@@ -19,13 +19,13 @@ from repro.experiments.report import format_figure
 from repro.experiments.sweep_service import (
     SWEEP_SCHEMA,
     build_plan,
-    dump_plan,
     load_plan,
     merge_plan,
     run_shard,
     shard_of,
     validate_plan,
 )
+from repro.jsonio import write_json
 from repro.obs.ops import (
     OPS_SCHEMA,
     fleet_status,
@@ -57,6 +57,14 @@ class TestPlan:
         # quick fig2: 4 techniques x 2 bandwidths x 1 seed
         assert quick_plan["total_runs"] == 8
 
+    def test_plan_records_sim_code(self, quick_plan):
+        from repro.obs.ops import render_fleet
+        from repro.parallel.store import sim_code_fingerprint
+
+        assert quick_plan["sim_code"] == sim_code_fingerprint()
+        header = render_fleet(quick_plan, []).splitlines()[0]
+        assert f"sim-code {sim_code_fingerprint()[:12]}" in header
+
     def test_every_run_lands_in_exactly_one_shard(self, quick_plan):
         for run in quick_plan["runs"]:
             assert run["shard"] == shard_of(run["digest"], 3)
@@ -87,7 +95,7 @@ class TestPlan:
         self, quick_plan, tmp_path
     ):
         path = tmp_path / "plan.json"
-        dump_plan(quick_plan, path)
+        write_json(quick_plan, path)
         assert load_plan(path) == quick_plan
 
 
@@ -377,7 +385,7 @@ class TestFleetView:
         from repro.cli import main
 
         plan_path = tmp_path / "plan.json"
-        dump_plan(quick_plan, plan_path)
+        write_json(quick_plan, plan_path)
         store = ResultStore(tmp_path / "s0")
         run_shard(quick_plan, 0, store, jobs=1)
         assert main([

@@ -133,7 +133,7 @@ class TestJsonFormat:
     def test_validate_rejects_drift(self):
         from repro.errors import LintError
 
-        with pytest.raises(LintError, match="unrecognised"):
+        with pytest.raises(LintError, match="unsupported schema"):
             validate_payload({"schema": "repro.lint/999"})
         with pytest.raises(LintError, match="missing"):
             validate_payload({"schema": LINT_SCHEMA})

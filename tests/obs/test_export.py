@@ -1,4 +1,4 @@
-"""Exporters: JSONL round-trips, CSV, and the trace summary."""
+"""Exporters: JSONL round-trips, CSV, and the per-peer summaries."""
 
 from __future__ import annotations
 
@@ -18,11 +18,12 @@ from repro.obs import (
     SelectionMade,
     StallEnded,
     StallStarted,
+    build_timelines,
     dump_jsonl,
     event_counts,
     events_to_jsonl,
     load_jsonl,
-    summarize_trace,
+    peer_summaries,
     timeseries_csv,
 )
 
@@ -108,7 +109,7 @@ class TestJsonlRoundTrip:
     def test_bad_json_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{this is broken\n")
-        with pytest.raises(TraceError, match="not JSON"):
+        with pytest.raises(TraceError, match="not valid JSON"):
             load_jsonl(str(path))
 
     def test_non_object_line_raises(self, tmp_path):
@@ -148,6 +149,10 @@ class TestTimeseriesCsv:
         assert len(lines) == 3
 
 
+def _summaries(events):
+    return peer_summaries(build_timelines(events))
+
+
 class TestSummarizeTrace:
     def test_pairs_stalls(self):
         events = [
@@ -159,7 +164,7 @@ class TestSummarizeTrace:
                 time=30.0, peer="p", stalls=1, total_stall_duration=1.0
             ),
         ]
-        summary = summarize_trace(events)["p"]
+        summary = _summaries(events)["p"]
         assert summary.joined == 0.0
         assert summary.startup_time == 2.0
         assert summary.stall_count == 1
@@ -174,23 +179,16 @@ class TestSummarizeTrace:
             PeerJoined(time=0.0, peer="p"),
             StallStarted(time=5.0, peer="p", segment=3),
         ]
-        summary = summarize_trace(events)["p"]
+        summary = _summaries(events)["p"]
         assert summary.stall_count == 0
         assert summary.total_stall_duration == 0.0
-
-    def test_end_without_start_raises(self):
-        events = [
-            StallEnded(time=6.0, peer="p", segment=3, duration=1.0),
-        ]
-        with pytest.raises(TraceError):
-            summarize_trace(events)
 
     def test_departure_recorded(self):
         events = [
             PeerJoined(time=0.0, peer="p"),
             PeerDeparted(time=9.0, peer="p", downloads_cancelled=1),
         ]
-        assert summarize_trace(events)["p"].departed
+        assert _summaries(events)["p"].departed
 
 
 class TestEventCounts:

@@ -10,9 +10,10 @@ from repro.net.engine import Simulator
 from repro.obs import (
     EventTracer,
     Observability,
+    build_timelines,
     dump_jsonl,
     load_jsonl,
-    summarize_trace,
+    peer_summaries,
 )
 from repro.p2p.swarm import Swarm, SwarmConfig
 from repro.player.player import Player
@@ -81,7 +82,7 @@ class TestSwarmTrace:
 
     def test_summary_matches_swarm_result_exactly(self, short_video):
         obs, result = _traced_run(short_video)
-        summaries = summarize_trace(obs.events())
+        summaries = peer_summaries(build_timelines(obs.events()))
         assert set(summaries) >= set(result.metrics)
         for name, metrics in result.metrics.items():
             summary = summaries[name]

@@ -46,6 +46,15 @@ class TestEnvironmentBlock:
     def test_json_encodable(self):
         json.dumps(build_manifest())
 
+    def test_names_the_simulation_code(self):
+        from repro.parallel.store import sim_code_fingerprint
+
+        manifest = build_manifest()
+        assert manifest["sim_code"] == sim_code_fingerprint()
+        assert f"sim-code {manifest['sim_code'][:12]}" in (
+            render_environment(manifest)
+        )
+
 
 class TestGitInfo:
     def test_describes_this_checkout(self):

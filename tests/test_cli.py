@@ -70,6 +70,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "peer-1" in out
         assert "$" in out  # someone finished
+        assert "legend:" in out
 
     @pytest.mark.slow
     def test_quickstart(self, capsys):
@@ -97,6 +98,10 @@ class TestVersionEnvironment:
         assert platform.python_version() in out
         assert "cpus" in out
         assert "numpy" in out
+
+        from repro.parallel.store import sim_code_fingerprint
+
+        assert f"sim-code {sim_code_fingerprint()[:12]}" in out
 
 
 class TestProgressFlag:
@@ -461,6 +466,20 @@ class TestTraceCommand:
         code = main(["trace", str(path)])
         assert code == 2
         assert "NoSuchEvent" in capsys.readouterr().err
+
+    def test_stall_end_without_start_exits_2(self, capsys, tmp_path):
+        from repro.obs import SimulationStarted, StallEnded, dump_jsonl
+
+        path = tmp_path / "unmatched.jsonl"
+        dump_jsonl(
+            [
+                SimulationStarted(time=0.0, pending=1),
+                StallEnded(time=6.0, peer="p", segment=3, duration=1.0),
+            ],
+            str(path),
+        )
+        assert main(["trace", str(path)]) == 2
+        assert "no matching StallStarted" in capsys.readouterr().err
 
     def test_summarizes_a_real_trace(self, capsys, tmp_path):
         from repro.obs import (

@@ -1,13 +1,17 @@
 """Discrete-event simulation engine.
 
-A minimal, deterministic event loop: events are ``(time, seq,
-callback)`` triples in a heap; ties in time break by scheduling order
-(``seq``), so runs are exactly reproducible.
+A minimal, deterministic event loop.  The heap holds ``(time, seq,
+handle)`` tuples: ``seq`` is unique and increasing, so ties in time
+break by scheduling order (runs are exactly reproducible) and
+``heapq`` orders entries by comparing a float and an int in C, never
+reaching the :class:`EventHandle`, which carries the callback and the
+cancelled flag.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -22,18 +26,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class EventHandle:
     """A scheduled event that can be cancelled before it fires."""
 
-    __slots__ = ("time", "_seq", "_callback", "_args", "_cancelled", "_sim")
+    __slots__ = ("time", "_callback", "_args", "_cancelled", "_sim")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[..., None],
         args: tuple[Any, ...],
         sim: "Simulator | None" = None,
     ) -> None:
         self.time = time
-        self._seq = seq
         self._callback = callback
         self._args = args
         self._cancelled = False
@@ -58,12 +60,6 @@ class EventHandle:
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` was called."""
         return self._cancelled
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self._seq) < (other.time, other._seq)
-
-    def _fire(self) -> None:
-        self._callback(*self._args)
 
 
 class Simulator:
@@ -92,7 +88,7 @@ class Simulator:
     ) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: list[EventHandle] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._live = 0
         self._running = False
         self._tracer = tracer
@@ -140,16 +136,23 @@ class Simulator:
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now - 1e-12:
-            raise SimulationError(
-                f"cannot schedule at {time}, current time is {self._now}"
-            )
-        self._seq += 1
-        event = EventHandle(
-            max(time, self._now), self._seq, callback, args, self
-        )
-        heapq.heappush(self._queue, event)
+        """Schedule ``callback(*args)`` at absolute simulated ``time``.
+
+        A time up to 1e-12 s in the past (float round-off) is clamped
+        to now; earlier times and NaN raise :class:`SimulationError`.
+        """
+        now = self._now
+        # One comparison on the fast path; NaN fails it and every
+        # comparison below, so it lands in the error branch.
+        if not time >= now:
+            if not time >= now - 1e-12:
+                raise SimulationError(
+                    f"cannot schedule at {time}, current time is {now}"
+                )
+            time = now
+        self._seq = seq = self._seq + 1
+        event = EventHandle(time, callback, args, self)
+        heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
 
@@ -188,6 +191,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
+        if until is not None and math.isnan(until):
+            raise SimulationError("cannot run until NaN")
         self._running = True
         tracer = self._tracer
         tracing = tracer is not None and tracer.enabled
@@ -217,11 +222,10 @@ class Simulator:
                     if not queue:
                         break
                     continue
-                event = queue[0]
+                time, _, event = queue[0]
                 if event._cancelled:
                     pop(queue)
                     continue
-                time = event.time
                 if barriers and time > self._now:
                     self._drain_barriers()
                     continue

@@ -259,16 +259,18 @@ class Leecher(PeerBase):
     # -- message handling ------------------------------------------------
 
     def handle_message(self, src_name: str, message: Message) -> None:
-        if isinstance(message, Manifest):
-            self._handle_manifest(message)
-        elif isinstance(message, Bitfield):
-            self._availability[message.peer_id] = set(message.indices)
-            self._known_peers.add(message.peer_id)
-            self._refill()
-        elif isinstance(message, Have):
+        # Have first: it is nearly every delivered message.  The
+        # message types are disjoint, so the test order is free.
+        if isinstance(message, Have):
             self._availability.setdefault(message.peer_id, set()).add(
                 message.index
             )
+            self._known_peers.add(message.peer_id)
+            self._refill()
+        elif isinstance(message, Manifest):
+            self._handle_manifest(message)
+        elif isinstance(message, Bitfield):
+            self._availability[message.peer_id] = set(message.indices)
             self._known_peers.add(message.peer_id)
             self._refill()
         elif isinstance(message, RequestRejected):
@@ -373,9 +375,10 @@ class Leecher(PeerBase):
         if estimator is not None and requested_at is not None:
             estimator.record(self._sim.now, size)
         self.player.segment_available(index)
+        have = Have(peer_id=self.name, index=index)
         for peer_name in sorted(self._known_peers):
             if peer_name != self.name:
-                self.send(peer_name, Have(peer_id=self.name, index=index))
+                self.send(peer_name, have)
         self._refill()
 
     def on_peer_left(self, peer_name: str) -> None:

@@ -38,6 +38,13 @@ from .wire import piece_wire_overhead
 class ControlPlane:
     """Latency-delayed, loss-free delivery of control messages.
 
+    :meth:`send` memoises each ``(src_name, dst_name)`` pair's latency
+    the first time the pair talks, filling the memo from :meth:`delay`
+    (the one definition of latency).  The memo cannot go stale: node
+    names are unique and never reused, a link's latency is set once
+    when the link is built, and the extra-latency hook must be a pure
+    function of the pair.
+
     Args:
         sim: the simulator.
         topology: supplies baseline node-to-node propagation latency.
@@ -56,6 +63,7 @@ class ControlPlane:
         self._topology = topology
         self._extra_latency = extra_latency
         self._peers: dict[str, "PeerBase"] = {}
+        self._latency: dict[tuple[str, str], float] = {}
         self.messages_sent = 0
 
     def register(self, peer: "PeerBase") -> None:
@@ -88,10 +96,12 @@ class ControlPlane:
         dropped, as a closed socket would drop them.
         """
         self.messages_sent += 1
-        delay = self.delay(src.name, dst_name)
-        self._sim.schedule(
-            delay, self._deliver, src.name, dst_name, message
-        )
+        src_name = src.name
+        pair = (src_name, dst_name)
+        delay = self._latency.get(pair)
+        if delay is None:
+            delay = self._latency[pair] = self.delay(src_name, dst_name)
+        self._sim.schedule(delay, self._deliver, src_name, dst_name, message)
 
     def _deliver(
         self, src_name: str, dst_name: str, message: Message

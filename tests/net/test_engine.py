@@ -1,6 +1,11 @@
 """Tests for the discrete-event engine."""
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.net.engine import Simulator
@@ -57,6 +62,56 @@ class TestScheduling:
         sim.schedule(0.0, chain, 3)
         sim.run()
         assert fired == [0.0, 1.0, 2.0, 3.0]
+
+
+class TestNaNRejected:
+    """NaN compares false with everything, so a NaN event would sit
+    anywhere in the heap and fire out of order; it is refused."""
+
+    def test_schedule_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(math.nan, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_schedule_at_nan_rejected(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(math.nan, lambda: None)
+        assert sim.pending_events == 1
+
+    def test_schedule_at_nan_rejected_mid_run(self):
+        sim = Simulator()
+        errors = []
+
+        def schedule_nan():
+            try:
+                sim.schedule_at(math.nan, lambda: None)
+            except SimulationError as error:
+                errors.append(error)
+
+        sim.schedule(2.0, schedule_nan)
+        sim.run()
+        assert len(errors) == 1
+
+    def test_run_until_nan_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        with pytest.raises(SimulationError):
+            sim.run(until=math.nan)
+        assert fired == []
+        # The refused call leaves the simulator usable.
+        sim.run()
+        assert fired == ["a"]
+
+    def test_round_off_in_the_past_clamps_to_now(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        handle = sim.schedule_at(1.0 - 1e-13, lambda: None)
+        assert handle.time == 1.0
 
 
 class TestCancellation:
@@ -192,7 +247,7 @@ class TestPendingCounter:
             handle.cancel()
         sim.run(until=3.0)
         scan = sum(
-            1 for event in sim._queue if not event.cancelled
+            1 for _, _, event in sim._queue if not event.cancelled
         )
         assert sim.pending_events == scan
 
@@ -297,3 +352,79 @@ class TestTimestampEndBarrier:
         ])
         sim.run()
         assert order == ["first", "second"]
+
+
+#: Delays with many exact ties (0 included) so ordering by ``seq`` is
+#: exercised as often as ordering by time.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.0, 2.5])
+
+
+class TestOrderingProperty:
+    """Random schedule / cancel / reschedule / barrier programs fire in
+    ``(time, seq)`` order, checked against a sorted reference model."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fires_in_time_seq_order(self, data):
+        sim = Simulator()
+        seq = itertools.count(1)
+        # Reference model: every live event by its (time, seq) key.
+        live: dict[tuple[float, int], object] = {}
+        fired: list[tuple[float, int]] = []
+        done = []
+        budget = [40]
+
+        def check_counter():
+            scan = sum(1 for _, _, event in sim._queue if not event.cancelled)
+            assert sim.pending_events == scan == len(live)
+
+        def fire(key):
+            # The engine must fire exactly the smallest live key.
+            assert key == min(live)
+            assert sim.now == key[0]
+            done.append(live.pop(key))
+            fired.append(key)
+            act()
+
+        def barrier(registered_at):
+            assert sim.now == registered_at
+            act()
+
+        def act():
+            for _ in range(data.draw(st.integers(0, 3))):
+                kind = data.draw(
+                    st.sampled_from(
+                        ["schedule", "schedule", "cancel", "late", "barrier"]
+                    )
+                )
+                if kind == "schedule" and budget[0] > 0:
+                    budget[0] -= 1
+                    delay = data.draw(_DELAYS)
+                    key = (sim.now + delay, next(seq))
+                    live[key] = sim.schedule(delay, fire, key)
+                elif kind == "cancel" and live:
+                    key = data.draw(st.sampled_from(sorted(live)))
+                    live.pop(key).cancel()
+                elif kind == "late" and done:
+                    data.draw(st.sampled_from(done)).cancel()
+                elif kind == "barrier" and budget[0] > 0:
+                    budget[0] -= 1
+                    sim.call_at_timestamp_end(
+                        lambda at=sim.now: barrier(at)
+                    )
+                check_counter()
+
+        act()
+        for until in data.draw(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), max_size=2)
+        ):
+            if until >= sim.now:
+                sim.run(until=until)
+                assert all(key[0] > until for key in live)
+                check_counter()
+                act()
+        sim.run()
+        check_counter()
+        assert live == {}
+        assert fired == sorted(fired)
+        assert sim.events_fired == len(fired)

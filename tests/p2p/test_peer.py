@@ -1,12 +1,17 @@
 """Tests for peer plumbing: control plane, uploads, choking."""
 
+from collections import defaultdict, deque
+
 import pytest
 
 from repro.errors import PeerError
-from repro.p2p.messages import Handshake, Request
+from repro.p2p.churn import ChurnConfig
+from repro.p2p.messages import Handshake, Have, Request
+from repro.p2p.swarm import Swarm, SwarmConfig
 from repro.p2p.wire import piece_wire_overhead
+from repro.units import kB_per_s
 
-from .helpers import ALL_MESSAGES, MiniSwarm
+from .helpers import ALL_MESSAGES, MiniSwarm, make_splice
 
 
 class TestControlPlane:
@@ -62,6 +67,113 @@ class TestControlPlane:
         b.leave()
         a.send(b.name, Handshake(peer_id=a.name, info_hash="x"))
         swarm.run()  # delivery fires but is dropped; no exception
+
+
+def record_deliveries(control, monkeypatch):
+    """Pair every delivery with its send; returns the delivery log.
+
+    Each log entry is ``(src, dst, sent_at, delivered_at)``.  One
+    pair's messages share one latency, so they arrive in send order.
+    """
+    sim = control._sim
+    in_flight = defaultdict(deque)
+    log = []
+    real_send, real_deliver = control.send, control._deliver
+
+    def send(src, dst_name, message):
+        in_flight[(src.name, dst_name)].append((sim.now, message))
+        real_send(src, dst_name, message)
+
+    def deliver(src_name, dst_name, message):
+        sent_at, sent = in_flight[(src_name, dst_name)].popleft()
+        assert message is sent
+        log.append((src_name, dst_name, sent_at, sim.now))
+        real_deliver(src_name, dst_name, message)
+
+    monkeypatch.setattr(control, "send", send)
+    monkeypatch.setattr(control, "_deliver", deliver)
+    return log
+
+
+class TestLatencyMemo:
+    """``send`` memoises each pair's latency; it must stay exactly
+    :meth:`ControlPlane.delay`."""
+
+    def test_every_delivery_takes_exactly_delay_under_churn(
+        self, monkeypatch
+    ):
+        config = SwarmConfig(
+            bandwidth=kB_per_s(512),
+            seeder_bandwidth=kB_per_s(1024),
+            n_leechers=5,
+            seed=3,
+            join_stagger=2.0,
+            churn=ChurnConfig(
+                fraction=0.6, mean_lifetime=10.0, min_lifetime=3.0
+            ),
+            max_time=600.0,
+        )
+        swarm = Swarm(make_splice(), config)
+        control = swarm.control
+        log = record_deliveries(control, monkeypatch)
+        result = swarm.run()
+        assert result.departed
+        for src, dst, sent_at, delivered_at in log:
+            assert delivered_at == sent_at + control.delay(src, dst)
+        pairs = {(src, dst) for src, dst, _, _ in log}
+        # Leecher <-> leecher at the 50 ms RTT, leecher <-> seeder at
+        # the 500 ms control RTT, and the last peer, which joins 8 s in.
+        assert {("peer-1", "peer-2"), ("peer-2", "peer-1")} <= pairs
+        assert {("peer-1", "seeder"), ("seeder", "peer-1")} <= pairs
+        assert control.delay("peer-1", "peer-2") == pytest.approx(0.025)
+        assert control.delay("peer-1", "seeder") == pytest.approx(0.25)
+        assert any(src == "peer-5" for src, _ in pairs)
+        assert any(
+            dst == "peer-5" and src != "seeder" for src, dst in pairs
+        )
+
+    def test_message_to_departed_peer_still_dropped(self, monkeypatch):
+        swarm = MiniSwarm(n_leechers=2)
+        a, b = swarm.leechers
+        received = []
+        monkeypatch.setattr(
+            b, "handle_message", lambda src, msg: received.append(msg)
+        )
+        first = Handshake(peer_id=a.name, info_hash="x")
+        a.send(b.name, first)  # fills the pair's memo
+        swarm.run(until=1.0)
+        assert received == [first]
+        a.send(b.name, Handshake(peer_id=a.name, info_hash="in flight"))
+        b.leave()
+        a.send(b.name, Handshake(peer_id=a.name, info_hash="after"))
+        swarm.run(until=2.0)
+        assert received == [first]
+
+    def test_shared_have_reaches_every_neighbour(self, monkeypatch):
+        swarm = MiniSwarm(n_leechers=3)
+        swarm.start_all(stagger=0.0)
+        swarm.run(until=1.0)
+        a = swarm.leechers[0]
+        neighbours = sorted(a._known_peers - {a.name})
+        assert len(neighbours) >= 2
+        index = max(set(a.segment_sizes) - a.owned)
+        sent = []
+        real_send = swarm.control.send
+        monkeypatch.setattr(
+            swarm.control,
+            "send",
+            lambda src, dst, msg: (
+                sent.append((dst, msg)),
+                real_send(src, dst, msg),
+            ),
+        )
+        a.on_segment_received("seeder", index, a.segment_sizes[index])
+        haves = [(dst, msg) for dst, msg in sent if isinstance(msg, Have)]
+        assert sorted(dst for dst, _ in haves) == neighbours
+        assert all(msg == Have(a.name, index) for _, msg in haves)
+        swarm.run(until=2.0)
+        for leecher in swarm.leechers[1:]:
+            assert index in leecher._availability[a.name]
 
 
 class TestPieceWireOverhead:

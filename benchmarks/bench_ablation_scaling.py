@@ -2,14 +2,10 @@
 
 The paper motivates P2P with scalability; growing the swarm should
 shift traffic from the seeder to the peers without degrading playback.
-The exact engine carries the sweep to 38 peers; the vectorized cohort
-backend (``docs/SCALING.md``) continues it to 10^4 peers, where the
-origin's share of the served bytes becomes negligible.
+The sweep grows the swarm from 5 to 38 peers.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from repro.experiments.ablations import run_swarm_scaling
 from repro.experiments.report import format_figure
@@ -18,8 +14,6 @@ from repro.parallel import SweepExecutor
 
 SIZES = (5, 10, 19, 38)
 _QUICK_SIZES = (5, 10)
-COHORT_SIZES = (100, 1_000, 10_000)
-_QUICK_COHORT_SIZES = (100, 1_000)
 
 
 def _origin_shares(result):
@@ -66,64 +60,14 @@ def run_suite(harness, quick=False):
         },
         **figure_metrics(result),
     )
-    # The cohort backend continues the same sweep past the exact
-    # engine's ceiling: 10^4 peers is minutes of exact event time but
-    # well under a second vectorized.
-    cohort_sizes = _QUICK_COHORT_SIZES if quick else COHORT_SIZES
-    cohort_config = replace(config, join_stagger=0.1)
-    cohort_result = harness.case(
-        "scaling-cohort@256",
-        run_swarm_scaling,
-        kwargs={
-            "config": cohort_config,
-            "video": video,
-            "bandwidth_kb": 256,
-            "swarm_sizes": cohort_sizes,
-            "executor": executor,
-            "fidelity": "cohort",
-        },
-        params={
-            "quick": quick,
-            "bandwidth_kb": 256,
-            "swarm_sizes": list(cohort_sizes),
-            "fidelity": "cohort",
-        },
-        digest_of=(
-            "swarm_scaling",
-            cohort_config,
-            256,
-            cohort_sizes,
-            "cohort",
-        ),
-    )
-    cohort_shares = _origin_shares(cohort_result)
-    lines += ["", "cohort backend, origin share of served bytes:"]
-    for label, share in cohort_shares.items():
-        lines.append(f"  {label:>11s}: {100 * share:5.1f}%")
-    harness.annotate(
-        **{
-            f"cohort.{label}.origin_share": share
-            for label, share in cohort_shares.items()
-        },
-        **{
-            f"cohort.{key}": value
-            for key, value in figure_metrics(cohort_result).items()
-        },
-    )
     harness.emit("\n".join(lines), name="ablation_swarm_scaling")
     # The origin's share of the bytes shrinks as the swarm grows (this
     # holds at quick scale too — it is the point of P2P).
     assert shares[f"{sizes[-1]} peers"] < shares[f"{sizes[0]} peers"]
-    assert (
-        cohort_shares[f"{cohort_sizes[-1]} peers"]
-        < cohort_shares[f"{cohort_sizes[0]} peers"]
-    )
     if not quick:
         for label, cells in result.series.items():
             assert cells[0].finished_fraction == 1.0
             assert cells[0].stall_count < 15.0
-        for label, cells in cohort_result.series.items():
-            assert cells[0].finished_fraction == 1.0
     return result
 
 

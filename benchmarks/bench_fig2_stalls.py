@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.experiments import fig2
 from repro.experiments.report import format_figure
-from repro.obs import EngineProfile, Observability, render_run_report
+from repro.obs import Observability, render_run_report
 from repro.obs.bench import figure_metrics
 from repro.parallel import SweepExecutor
 
@@ -23,9 +23,6 @@ def _by_bw(cells):
 def run_suite(harness, quick=False):
     config, video = harness.paper_setup(quick)
     executor = SweepExecutor(jobs=1)
-    # No profile on this obs: profiling publishes engine.* metrics
-    # into the registry, and this report must stay byte-identical to
-    # the committed table.
     obs = Observability.metrics_only()
     kwargs = {
         "config": config,
@@ -57,11 +54,10 @@ def run_suite(harness, quick=False):
         name="fig2_stall_counts",
     )
 
-    # Stall-cause histogram + engine profile: one analyzed cell at the
-    # scarce end, on a throwaway obs whose report is never rendered.
+    # Stall-cause histogram: one analyzed cell at the scarce end, on
+    # a throwaway obs whose report is never rendered.
     analyzer_executor = SweepExecutor(jobs=1)
     analyzer_obs = Observability.metrics_only()
-    analyzer_obs.profile = EngineProfile()
     analyzed = harness.case(
         "fig2/analyzed@128",
         fig2.run,
@@ -75,7 +71,6 @@ def run_suite(harness, quick=False):
         },
         params={"quick": quick, "bandwidth_kb": 128, "analyze": True},
         digest_of=("fig2-analyzed", config, 128),
-        profile=analyzer_obs.profile,
     )
     harness.annotate(
         events_fired=analyzer_executor.stats.events_fired,

@@ -53,7 +53,7 @@ def main() -> None:
         seed=7,
         max_time=900.0,
     )
-    obs = Observability.tracing(profile=True)
+    obs = Observability.tracing()
     print("Streaming at a starvation-level 96 kB/s (stalls expected)...")
     result = Swarm(splice, config, obs=obs).run()
     events = obs.events()

@@ -1,7 +1,6 @@
 """Legacy shim so `python setup.py develop` works offline (no wheel pkg).
 
-Metadata — including the numpy dependency for the vectorized swarm
-tiers (docs/SCALING.md) — lives in pyproject.toml.
+Metadata lives in pyproject.toml.
 """
 from setuptools import setup
 

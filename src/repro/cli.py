@@ -39,7 +39,7 @@ from typing import Sequence
 
 from . import __version__
 from .core.splicer import DurationSplicer, GopSplicer
-from .errors import TraceError
+from .errors import ConfigurationError, TraceError
 from .experiments import fig2, fig3, fig4, fig5
 from .experiments.ablations import run_overhead
 from .experiments.config import ExperimentConfig, make_swarm_config
@@ -219,17 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
             "also write a JSON run manifest here (schema "
             "repro.manifest/1): command, environment block, git "
             "revision, and sweep totals"
-        ),
-    )
-    reproduce.add_argument(
-        "--fidelity",
-        choices=("exact", "cohort", "fluid"),
-        default="exact",
-        help=(
-            "swarm backend for every run: 'exact' simulates each "
-            "peer, 'cohort' batches statistically-identical peers "
-            "(10^3-10^4 peers), 'fluid' integrates mean-field rate "
-            "ODEs (10^5+ peers); see docs/SCALING.md"
         ),
     )
     reproduce.add_argument(
@@ -460,11 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reduced scale (9 peers, 1 seed, 2 bandwidths)",
     )
     plan.add_argument(
-        "--fidelity",
-        choices=("exact", "cohort", "fluid"),
-        default="exact",
-    )
-    plan.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -642,16 +626,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+def _swarm_config(
+    args: argparse.Namespace, n_leechers: int
+) -> SwarmConfig | None:
+    """The swarm ``--bandwidth``/``--seed`` describe, or ``None``
+    after printing why those settings are invalid."""
+    try:
+        return SwarmConfig(
+            bandwidth=kB_per_s(args.bandwidth),
+            seeder_bandwidth=kB_per_s(8 * args.bandwidth),
+            n_leechers=n_leechers,
+            seed=args.seed,
+        )
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_quickstart(args: argparse.Namespace) -> int:
+    config = _swarm_config(args, n_leechers=19)
+    if config is None:
+        return 2
     video = encode_paper_video(seed=1)
     for splicer in (GopSplicer(), DurationSplicer(4.0)):
         splice = splicer.splice(video)
-        config = SwarmConfig(
-            bandwidth=kB_per_s(args.bandwidth),
-            seeder_bandwidth=kB_per_s(8 * args.bandwidth),
-            n_leechers=19,
-            seed=args.seed,
-        )
         result = Swarm(splice, config).run()
         print(
             f"{splice.technique:12s} stalls={result.mean_stall_count():6.1f} "
@@ -691,11 +689,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     from .experiments.reproduce import reproduce_all
     from .parallel import SweepExecutor, SweepProgress
 
-    fidelity = getattr(args, "fidelity", "exact")
     config = (
-        ExperimentConfig(n_leechers=9, seeds=(7,), fidelity=fidelity)
+        ExperimentConfig(n_leechers=9, seeds=(7,))
         if args.quick
-        else ExperimentConfig(fidelity=fidelity)
+        else ExperimentConfig()
     )
     if args.jobs is not None and args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}",
@@ -794,8 +791,6 @@ def _write_run_manifest(
         command += " --quick"
     if args.figure is not None:
         command += f" --figure {args.figure}"
-    if getattr(args, "fidelity", "exact") != "exact":
-        command += f" --fidelity {args.fidelity}"
     if args.resume:
         command += " --resume"
     elif store is not None:
@@ -871,7 +866,7 @@ def _write_representative_trace(
         bandwidth_kb = PAPER_BANDWIDTHS_KB[0]
     video = encode_paper_video(seed=config.video_seed)
     splice = DurationSplicer(_TRACE_SEGMENT_DURATION).splice(video)
-    obs = Observability.tracing(profile=True)
+    obs = Observability.tracing()
     swarm_config = make_swarm_config(
         bandwidth_kb, config.seeds[0], config
     )
@@ -1188,7 +1183,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     plan = sweep_service.build_plan(
                         args.figure,
                         quick=args.quick,
-                        fidelity=args.fidelity,
                         shards=args.shards,
                     )
                     write_json(plan, target)
@@ -1280,14 +1274,11 @@ def _cmd_rspec(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
+    config = _swarm_config(args, n_leechers=args.peers)
+    if config is None:
+        return 2
     video = encode_paper_video(seed=1)
     splice = DurationSplicer(args.duration).splice(video)
-    config = SwarmConfig(
-        bandwidth=kB_per_s(args.bandwidth),
-        seeder_bandwidth=kB_per_s(8 * args.bandwidth),
-        n_leechers=args.peers,
-        seed=args.seed,
-    )
     obs = Observability.tracing()
     Swarm(splice, config, obs=obs).run()
     timelines = build_timelines(obs.events())

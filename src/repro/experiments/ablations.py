@@ -279,7 +279,6 @@ def run_swarm_scaling(
     bandwidth_kb: int = 256,
     swarm_sizes: tuple[int, ...] = (5, 10, 19, 38),
     executor: SweepExecutor | None = None,
-    fidelity: str | None = None,
 ) -> FigureResult:
     """A8 — scalability: does P2P shed load from the origin?
 
@@ -287,12 +286,6 @@ def run_swarm_scaling(
     and reports stalls while the harness records how the seeder's
     share of the served bytes shrinks (``seeder_bytes`` vs
     ``peer_bytes`` in the cells).
-
-    Args:
-        fidelity: swarm-backend override for every cell.  The
-            vectorized ``"cohort"`` tier extends the sweep well past
-            the exact engine's practical ceiling (10^4+ peers; see
-            ``docs/SCALING.md``).
     """
     cfg = config or ExperimentConfig()
     sweep = executor or SweepExecutor(jobs=1)
@@ -303,7 +296,6 @@ def run_swarm_scaling(
             bandwidth_kb,
             replace(cfg, n_leechers=size),
             video=video,
-            fidelity=fidelity,
             label=f"A8/{size} peers",
         )
         for size in swarm_sizes

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from ..core.policy import AdaptivePoolPolicy, DownloadPolicy
 from ..errors import ExperimentError
 from ..p2p.churn import ChurnConfig
-from ..p2p.swarm import FIDELITY_TIERS, SwarmConfig
+from ..p2p.swarm import SwarmConfig
 from ..units import kB_per_s, milliseconds
 from ..video.bitstream import Bitstream
 from ..video.encoder import encode_paper_video
@@ -50,11 +50,6 @@ class ExperimentConfig:
         join_stagger: seconds between consecutive peer joins.
         churn: optional churn model parameters.
         max_time: per-run simulation cap, seconds.
-        fidelity: swarm backend for every run — ``"exact"``,
-            ``"cohort"`` or ``"fluid"`` (see ``docs/SCALING.md``).
-        max_cohorts: population granularity of the vectorized tiers.
-        fluid_dt: integration step of the fluid tier, seconds
-            (``None`` derives one from the splice).
     """
 
     n_leechers: int = 19
@@ -67,9 +62,6 @@ class ExperimentConfig:
     join_stagger: float = 5.0
     churn: ChurnConfig | None = None
     max_time: float = 3600.0
-    fidelity: str = "exact"
-    max_cohorts: int = 64
-    fluid_dt: float | None = None
 
     def __post_init__(self) -> None:
         if not self.seeds:
@@ -78,11 +70,6 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"seeder_multiplier must be positive: "
                 f"{self.seeder_multiplier}"
-            )
-        if self.fidelity not in FIDELITY_TIERS:
-            raise ExperimentError(
-                f"fidelity must be one of {FIDELITY_TIERS}: "
-                f"{self.fidelity!r}"
             )
 
 
@@ -124,7 +111,4 @@ def make_swarm_config(
         join_stagger=cfg.join_stagger,
         churn=cfg.churn,
         max_time=cfg.max_time,
-        fidelity=cfg.fidelity,
-        max_cohorts=cfg.max_cohorts,
-        fluid_dt=cfg.fluid_dt,
     )

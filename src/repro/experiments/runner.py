@@ -19,7 +19,7 @@ from ..core.segments import SpliceResult
 from ..errors import ExperimentError
 from ..obs.analyze import CellAnalysis, RunAnalysis, merge_analyses
 from ..obs.context import Observability
-from ..p2p.swarm import SwarmResult, build_swarm
+from ..p2p.swarm import Swarm, SwarmResult
 from .config import ExperimentConfig, make_swarm_config
 
 
@@ -184,7 +184,7 @@ def run_cell(
         swarm_config = make_swarm_config(
             bandwidth_kb, seed, cfg, policy
         )
-        swarm = build_swarm(splice, swarm_config, obs=obs)
+        swarm = Swarm(splice, swarm_config, obs=obs)
         result = swarm.run()
         stats.append(
             seed_stats(

@@ -1,9 +1,9 @@
 """The sharded, resumable sweep service behind ``repro sweep``.
 
-A figure sweep is a deterministic function of (figure, scale,
-fidelity): every machine that rebuilds it gets the same cells, the
-same :class:`~repro.parallel.spec.RunSpec` expansion, and — thanks to
-the canonical-JSON content digest — the same identity per run.  That
+A figure sweep is a deterministic function of (figure, scale): every
+machine that rebuilds it gets the same cells, the same
+:class:`~repro.parallel.spec.RunSpec` expansion, and — thanks to the
+canonical-JSON content digest — the same identity per run.  That
 makes multi-machine sweeps a three-verb protocol over plain files:
 
 * ``plan`` — expand the sweep, digest every run, and deterministically
@@ -80,17 +80,19 @@ FIGURE_PRECISION = {"2": 1, "3": 1, "4": 2, "5": 1}
 QUICK_BANDWIDTHS_KB: tuple[int, ...] = (128, 512)
 
 
-def sweep_config(quick: bool, fidelity: str) -> ExperimentConfig:
+def sweep_config(quick: bool, engine: str = "exact") -> ExperimentConfig:
     """The experiment config a plan's parameters describe.
 
-    Exactly the config ``reproduce [--quick] [--fidelity F]`` builds,
-    so a sharded sweep and a direct run compute identical cells.
+    Exactly the config ``reproduce [--quick]`` builds, so a sharded
+    sweep and a direct run compute identical cells.  ``engine`` names
+    the swarm engine; ``"exact"`` is the only one, and the parameter
+    stays only because ``paperbench/workloads.py`` passes it.
     """
+    if engine != "exact":
+        raise StoreError(f"unknown swarm engine {engine!r}")
     if quick:
-        return ExperimentConfig(
-            n_leechers=9, seeds=(7,), fidelity=fidelity
-        )
-    return ExperimentConfig(fidelity=fidelity)
+        return ExperimentConfig(n_leechers=9, seeds=(7,))
+    return ExperimentConfig()
 
 
 def figure_cells(
@@ -132,13 +134,12 @@ def shard_of(digest: str, shards: int) -> int:
 def build_plan(
     figure: str,
     quick: bool = False,
-    fidelity: str = "exact",
     shards: int = 1,
 ) -> dict:
     """Expand, digest, and partition one figure sweep into a plan."""
     if shards < 1:
         raise StoreError(f"shards must be >= 1: {shards}")
-    config = sweep_config(quick, fidelity)
+    config = sweep_config(quick)
     cells = figure_cells(figure, config, quick)
     specs = expand_runs(cells)
     runs = []
@@ -160,7 +161,6 @@ def build_plan(
         "sim_code": sim_code_fingerprint(),
         "figure": figure,
         "quick": quick,
-        "fidelity": fidelity,
         "shards": shards,
         "total_runs": len(runs),
         "runs": runs,
@@ -181,6 +181,9 @@ def validate_plan(payload: object, what: str = "sweep plan") -> dict:
     figure = payload.get("figure")
     if figure not in FIGURE_MODULES:
         raise StoreError(f"sweep plan names unknown figure {figure!r}")
+    quick = payload.get("quick")
+    if not isinstance(quick, bool):
+        raise StoreError(f"sweep plan quick must be a boolean: {quick!r}")
     shards = payload.get("shards")
     if not isinstance(shards, int) or shards < 1:
         raise StoreError(f"sweep plan shards must be >= 1: {shards!r}")
@@ -220,7 +223,7 @@ def _rebuild_specs(plan: dict) -> dict[str, RunSpec]:
             different code version (or different defaults) and running
             it here would silently compute a *different* sweep.
     """
-    config = sweep_config(plan["quick"], plan["fidelity"])
+    config = sweep_config(plan["quick"])
     cells = figure_cells(plan["figure"], config, plan["quick"])
     specs = {
         run_identity(spec): spec for spec in expand_runs(cells)
@@ -398,7 +401,7 @@ def merge_plan(
     executor = SweepExecutor(
         jobs=jobs, progress=progress, store=store, ops=ops_log
     )
-    config = sweep_config(plan["quick"], plan["fidelity"])
+    config = sweep_config(plan["quick"])
     module = FIGURE_MODULES[plan["figure"]]
     try:
         with ops_log.span(

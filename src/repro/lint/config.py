@@ -39,12 +39,11 @@ DEFAULT_SIM_PATH = (
 )
 
 #: Sim-path-adjacent modules explicitly allowed to read the wall
-#: clock: benchmarking, profiling, progress reporting, and the ops
-#: telemetry layer measure the host, not the simulation.
+#: clock: benchmarking, progress reporting, and the ops telemetry
+#: layer measure the host, not the simulation.
 DEFAULT_WALLCLOCK_ALLOW = (
     "repro.obs.bench",
     "repro.obs.ops",
-    "repro.obs.profile",
     "repro.parallel.progress",
 )
 

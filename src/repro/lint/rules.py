@@ -82,8 +82,8 @@ class Rule:
 
 #: Wall-clock reads that leak host time into simulated behaviour.
 #: ``time.perf_counter`` is deliberately absent: it is the sanctioned
-#: *profiling* clock (engine wall-time profile, worker timing) and
-#: never feeds simulation state — see docs/LINTING.md.
+#: *profiling* clock (worker timing, trace wall seconds) and never
+#: feeds simulation state — see docs/LINTING.md.
 _WALLCLOCK_NAMES = frozenset({
     "time.time",
     "time.time_ns",

@@ -19,7 +19,6 @@ from ..errors import SimulationError
 from ..obs.events import SimulationCompleted, SimulationStarted
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.profile import EngineProfile
     from ..obs.tracer import Tracer
 
 
@@ -75,24 +74,15 @@ class Simulator:
         tracer: optional event tracer; when enabled, each ``run``
             brackets its events with ``SimulationStarted`` /
             ``SimulationCompleted``.
-        profile: optional :class:`~repro.obs.profile.EngineProfile`
-            accumulating per-handler-category wall time.  Profiling
-            never touches the simulated clock — results are identical
-            with it on or off.
     """
 
-    def __init__(
-        self,
-        tracer: "Tracer | None" = None,
-        profile: "EngineProfile | None" = None,
-    ) -> None:
+    def __init__(self, tracer: "Tracer | None" = None) -> None:
         self._now = 0.0
         self._seq = 0
         self._queue: list[tuple[float, int, EventHandle]] = []
         self._live = 0
         self._running = False
         self._tracer = tracer
-        self.profile = profile
         self._events_fired = 0
         self._barriers: list[Callable[[], None]] = []
 
@@ -196,7 +186,6 @@ class Simulator:
         self._running = True
         tracer = self._tracer
         tracing = tracer is not None and tracer.enabled
-        profile = self.profile
         if tracing:
             tracer.emit(
                 SimulationStarted(
@@ -236,14 +225,7 @@ class Simulator:
                 self._live -= 1
                 self._now = time
                 fired += 1
-                if profile is None:
-                    event._callback(*event._args)
-                else:
-                    handler_started = perf_counter()
-                    event._callback(*event._args)
-                    profile.record(
-                        event._callback, perf_counter() - handler_started
-                    )
+                event._callback(*event._args)
             if until is not None and self._now < until:
                 self._now = until
         finally:

@@ -1,4 +1,4 @@
-"""Observability: sim-time tracing, metrics, profiles, exporters.
+"""Observability: sim-time tracing, metrics, exporters.
 
 The paper's entire evaluation is observational — stall counts, stall
 durations, startup times, pool sizes — and this package is the layer
@@ -10,8 +10,6 @@ every other subsystem records into:
   one-attribute-check disabled path (:data:`NULL_TRACER`);
 * :mod:`repro.obs.metrics` — counters, gauges, sim-time-weighted
   histograms, raw timeseries;
-* :mod:`repro.obs.profile` — event-loop wall-time profiling by
-  handler category;
 * :mod:`repro.obs.context` — :class:`Observability`, the bundle
   threaded through :class:`~repro.p2p.swarm.Swarm` and the experiment
   harness;
@@ -139,7 +137,6 @@ from .ops import (
     render_fleet,
     shard_ops_path,
 )
-from .profile import EngineProfile, handler_category
 from .render import CAUSE_SYMBOLS, render_gantt
 from .timeline import (
     InvariantViolation,
@@ -177,7 +174,6 @@ __all__ = [
     "CellAnalysis",
     "Comparison",
     "Counter",
-    "EngineProfile",
     "EventTracer",
     "FlowRateChanged",
     "Gauge",
@@ -241,7 +237,6 @@ __all__ = [
     "find_heartbeats",
     "fleet_status",
     "git_info",
-    "handler_category",
     "heartbeat_path",
     "load_artifact",
     "load_jsonl",

@@ -8,10 +8,9 @@ replacement:
 * :class:`BenchHarness` times each **case** (best-of-N wall time with
   warmup discard, or repeat-until-budget for millisecond-scale cells),
   collects per-case scalars — simulated events/sec, key streaming
-  metrics, the stall-cause histogram from the PR-5 analyzer, the
-  :class:`~repro.obs.profile.EngineProfile` breakdown — and still
-  prints/writes the human-readable tables exactly where they always
-  went;
+  metrics, the stall-cause histogram from the PR-5 analyzer — and
+  still prints/writes the human-readable tables exactly where they
+  always went;
 * :func:`build_artifact` wraps the cases in a **versioned JSON
   artifact** (schema ``repro.bench/1``) with a full run manifest: git
   SHA + dirty flag, python/platform/cpu environment block, and stable
@@ -100,8 +99,6 @@ class BenchCase:
             means, speedups ...).
         causes: stall-cause histogram from the analyzer, when the
             suite ran with analysis.
-        profile: engine wall-time breakdown (``EngineProfile``
-            snapshot), when the suite profiled.
     """
 
     case_id: str
@@ -113,7 +110,6 @@ class BenchCase:
     sim_seconds: float | None = None
     metrics: dict[str, float] = field(default_factory=dict)
     causes: dict[str, int] | None = None
-    profile: dict | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -126,7 +122,6 @@ class BenchCase:
             "sim_seconds": self.sim_seconds,
             "metrics": dict(self.metrics),
             "causes": None if self.causes is None else dict(self.causes),
-            "profile": self.profile,
         }
 
 
@@ -177,7 +172,6 @@ class BenchHarness:
         params: Mapping[str, Any] | None = None,
         digest_of: Any = None,
         self_timed: bool = False,
-        profile: Any = None,
     ) -> Any:
         """Measure one case; returns ``fn``'s (last) return value.
 
@@ -197,9 +191,6 @@ class BenchHarness:
                 simulator loop, excluding topology construction).
             digest_of: any value describing the workload; its
                 content digest is recorded on the case.
-            profile: an :class:`~repro.obs.profile.EngineProfile` the
-                run records into; the case stores the *delta* this
-                case contributed.
         """
         if case_id in self._case_ids:
             raise BenchError(
@@ -210,7 +201,6 @@ class BenchHarness:
         if warmup < 0:
             raise BenchError(f"warmup must be >= 0: {warmup}")
         call_kwargs = dict(kwargs or {})
-        before = profile.snapshot() if profile is not None else None
 
         for _ in range(warmup):
             self._call(fn, args, call_kwargs, self_timed)
@@ -246,8 +236,6 @@ class BenchHarness:
             from ..parallel.digest import content_digest
 
             case.digest = content_digest(digest_of)
-        if profile is not None and before is not None:
-            case.profile = _profile_delta(before, profile.snapshot())
         self.cases.append(case)
         self._case_ids.add(case_id)
         return result
@@ -410,23 +398,6 @@ def figure_metrics(result: Any) -> dict[str, float]:
                     values
                 )
     return metrics
-
-
-def _profile_delta(before: dict, after: dict) -> dict:
-    counts = {
-        category: after["counts"][category]
-        - before["counts"].get(category, 0)
-        for category in after["counts"]
-        if after["counts"][category]
-        - before["counts"].get(category, 0)
-    }
-    wall = {
-        category: after["wall_seconds"][category]
-        - before["wall_seconds"].get(category, 0.0)
-        for category in after["wall_seconds"]
-        if category in counts
-    }
-    return {"counts": counts, "wall_seconds": wall}
 
 
 # -- artifact build / validate / load ---------------------------------

@@ -10,7 +10,7 @@ Three consumers, three formats:
 * **Run report** — what a human reads after a run: per-peer
   stall/startup summaries derived *from the trace alone* (so they can
   be cross-checked against :class:`~repro.p2p.swarm.SwarmResult`),
-  event counts by category, metric totals, and the engine profile.
+  event counts by category and metric totals.
 """
 
 from __future__ import annotations
@@ -232,6 +232,4 @@ def render_run_report(obs: Observability) -> str:
                 f"min={summary.minimum:g} max={summary.maximum:g} "
                 f"over {summary.total_weight:.1f}s"
             )
-    if obs.profile is not None and obs.profile.counts:
-        parts += ["", "## Engine profile", "", obs.profile.render()]
     return "\n".join(parts) + "\n"

@@ -47,22 +47,6 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def numpy_version() -> str | None:
-    """The numpy version in use, or ``None`` when unavailable.
-
-    numpy is a runtime dependency of the cohort/fluid swarm tiers
-    (see ``docs/SCALING.md``), so perf numbers depend on which build
-    ran; the import is gated so environments without it (exact-tier
-    only) still produce manifests.
-    """
-    try:
-        import numpy
-    except Exception:  # noqa: BLE001 - any broken install counts as absent
-        return None
-    version = getattr(numpy, "__version__", None)
-    return str(version) if version is not None else None
-
-
 def environment_block() -> dict:
     """The interpreter/platform/CPU facts a perf number depends on."""
     return {
@@ -72,7 +56,6 @@ def environment_block() -> dict:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
         "usable_cores": usable_cores(),
-        "numpy": numpy_version(),
     }
 
 
@@ -161,7 +144,6 @@ def render_environment(manifest: dict | None = None) -> str:
         f"{env.get('platform', '?')}",
         f"cpus {env.get('usable_cores', '?')} usable "
         f"of {env.get('cpu_count', '?')}",
-        f"numpy {env.get('numpy') or 'absent'}",
     ]
     git = manifest.get("git")
     if git is not None:

@@ -12,9 +12,7 @@ peer both leeches and seeds.  This package is that application:
 * :mod:`repro.p2p.peer` — plumbing shared by all peers;
 * :mod:`repro.p2p.seeder` / :mod:`repro.p2p.leecher` — the two roles;
 * :mod:`repro.p2p.churn` — peer-departure model;
-* :mod:`repro.p2p.swarm` — end-to-end session orchestration;
-* :mod:`repro.p2p.scale` — vectorized cohort/fluid backends for
-  10³–10⁶-peer sessions (``SwarmConfig.fidelity``).
+* :mod:`repro.p2p.swarm` — end-to-end session orchestration.
 """
 
 from .churn import ChurnModel
@@ -30,7 +28,6 @@ from .messages import (
     Request,
     RequestRejected,
 )
-from .scale import CohortSwarm, FluidSwarm
 from .seeder import Seeder
 from .selection import (
     PieceSelector,
@@ -38,15 +35,12 @@ from .selection import (
     SequentialSelector,
     WindowedRarestSelector,
 )
-from .swarm import FIDELITY_TIERS, Swarm, SwarmConfig, build_swarm
+from .swarm import Swarm, SwarmConfig
 from .tracker import Tracker
 
 __all__ = [
     "Bitfield",
     "ChurnModel",
-    "CohortSwarm",
-    "FIDELITY_TIERS",
-    "FluidSwarm",
     "Goodbye",
     "Handshake",
     "Have",
@@ -65,5 +59,4 @@ __all__ = [
     "WindowedRarestSelector",
     "SwarmConfig",
     "Tracker",
-    "build_swarm",
 ]

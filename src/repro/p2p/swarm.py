@@ -7,6 +7,7 @@ streaming session, and collects every peer's metrics.
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from dataclasses import dataclass, field
@@ -27,9 +28,6 @@ from .peer import ControlPlane
 from .seeder import Seeder
 from .selection import PieceSelector, SequentialSelector
 from .tracker import Tracker
-
-#: Swarm backends selectable via :attr:`SwarmConfig.fidelity`.
-FIDELITY_TIERS = ("exact", "cohort", "fluid")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,15 +81,6 @@ class SwarmConfig:
         preroll_segments: segments buffered before playback starts
             (paper: 1).
         max_time: simulation safety cap, seconds.
-        fidelity: which swarm backend runs the session — ``"exact"``
-            (the per-peer discrete-event engine), ``"cohort"`` (peers
-            batched by join epoch, vectorized; 10³–10⁴ peers), or
-            ``"fluid"`` (mean-field rate ODEs; 10⁵–10⁶ peers).  See
-            ``docs/SCALING.md`` for accuracy envelopes.
-        max_cohorts: population granularity of the vectorized tiers
-            (ignored by ``"exact"``); more cohorts, closer to exact.
-        fluid_dt: integration step of the ``"fluid"`` tier, seconds;
-            ``None`` derives one from the shortest segment duration.
     """
 
     bandwidth: float
@@ -113,27 +102,25 @@ class SwarmConfig:
     origin_one_at_a_time: bool = False
     preroll_segments: int = 1
     max_time: float = 3600.0
-    fidelity: str = "exact"
-    max_cohorts: int = 64
-    fluid_dt: float | None = None
 
     def __post_init__(self) -> None:
+        for name in (
+            "bandwidth",
+            "seeder_bandwidth",
+            "bandwidth_hint",
+            "peer_rtt",
+            "seeder_rtt",
+            "join_stagger",
+            "max_time",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {value}"
+                )
         if self.bandwidth <= 0:
             raise ConfigurationError(
                 f"bandwidth must be positive, got {self.bandwidth}"
-            )
-        if self.fidelity not in FIDELITY_TIERS:
-            raise ConfigurationError(
-                f"fidelity must be one of {FIDELITY_TIERS}, "
-                f"got {self.fidelity!r}"
-            )
-        if self.max_cohorts < 1:
-            raise ConfigurationError(
-                f"max_cohorts must be >= 1, got {self.max_cohorts}"
-            )
-        if self.fluid_dt is not None and self.fluid_dt <= 0:
-            raise ConfigurationError(
-                f"fluid_dt must be positive, got {self.fluid_dt}"
             )
         if self.n_leechers < 1:
             raise ConfigurationError(
@@ -224,7 +211,7 @@ class Swarm:
         obs: optional observability context; when given, every layer
             (engine, TCP, peers, players) records into its tracer and
             metrics registry, and :meth:`run` finalizes histograms and
-            publishes the engine profile on completion.
+            publishes the swarm totals on completion.
     """
 
     SEEDER_NAME = "seeder"
@@ -238,10 +225,7 @@ class Swarm:
         self._splice = splice
         self._config = config
         self.obs = obs
-        self.sim = Simulator(
-            tracer=obs.tracer if obs is not None else None,
-            profile=obs.profile if obs is not None else None,
-        )
+        self.sim = Simulator(tracer=obs.tracer if obs is not None else None)
         self.network = FlowNetwork(
             self.sim,
             registry=obs.registry if obs is not None else None,
@@ -389,7 +373,7 @@ class Swarm:
         """Change every leecher's access bandwidth mid-run.
 
         The variable-bandwidth experiments call this from scheduled
-        sim events; every fidelity tier exposes the same hook.
+        sim events.
         """
         if bandwidth <= 0:
             raise ConfigurationError(
@@ -401,13 +385,11 @@ class Swarm:
             )
 
     def _finalize_observability(self) -> None:
-        """Close out the run's metrics: histograms, profile, totals."""
+        """Close out the run's metrics: histograms and totals."""
         assert self.obs is not None
         registry = self.obs.registry
         for histogram in registry.histograms().values():
             histogram.finalize(self.sim.now)
-        if self.obs.profile is not None:
-            self.obs.profile.publish(registry)
         registry.gauge("swarm.control_messages").set(
             self.control.messages_sent
         )
@@ -441,31 +423,3 @@ class Swarm:
             end_time=self.sim.now,
         )
 
-
-def build_swarm(
-    splice: SpliceResult,
-    config: SwarmConfig,
-    obs: Observability | None = None,
-) -> "Swarm":
-    """Build the swarm backend :attr:`SwarmConfig.fidelity` selects.
-
-    Every backend exposes the same session surface — ``run()`` →
-    :class:`SwarmResult`, ``sim``, ``config``, ``obs``, and
-    ``set_peer_bandwidth`` — so runners, sweeps and benchmarks hold a
-    swarm without caring which engine is underneath.
-
-    Args:
-        splice: the spliced video to stream.
-        config: session parameters (``fidelity`` picks the engine).
-        obs: optional observability context.
-
-    Returns:
-        A ready-to-run session object.
-    """
-    if config.fidelity == "exact":
-        return Swarm(splice, config, obs=obs)
-    from .scale import CohortSwarm, FluidSwarm
-
-    if config.fidelity == "cohort":
-        return CohortSwarm(splice, config, obs=obs)
-    return FluidSwarm(splice, config, obs=obs)

@@ -23,14 +23,7 @@ from .executor import (
     default_jobs,
 )
 from .progress import NULL_PROGRESS, SweepProgress
-from .snapshot import (
-    MetricsSnapshot,
-    ProfileSnapshot,
-    merge_profile,
-    merge_snapshot,
-    snapshot_profile,
-    snapshot_registry,
-)
+from .snapshot import MetricsSnapshot, merge_snapshot, snapshot_registry
 from .spec import (
     CellSpec,
     RunSpec,
@@ -56,7 +49,6 @@ __all__ = [
     "JOBS_ENV_VAR",
     "MetricsSnapshot",
     "NULL_PROGRESS",
-    "ProfileSnapshot",
     "ResultStore",
     "RunOutcome",
     "RunSpec",
@@ -79,12 +71,10 @@ __all__ = [
     "default_store_root",
     "execute_run",
     "memo_counts",
-    "merge_profile",
     "merge_snapshot",
     "pool_entry",
     "publish_memo_delta",
     "run_identity",
-    "snapshot_profile",
     "snapshot_registry",
     "spec_digest",
     "splice_for",

@@ -33,7 +33,7 @@ from ..obs.analyze import analyze_observability
 from ..obs.context import Observability
 from ..obs.ops import NULL_HEARTBEAT, NULL_OPS, OpsLog, ShardHeartbeat
 from .progress import NULL_PROGRESS, SweepProgress
-from .snapshot import merge_profile, merge_snapshot
+from .snapshot import merge_snapshot
 from .spec import CellSpec, RunSpec
 from .store import ResultStore
 from .worker import RunOutcome, execute_run, pool_entry
@@ -115,8 +115,8 @@ class SweepExecutor:
             digest is already committed are served from disk (and
             reported with ``cached=True``); fresh successful runs are
             committed as they finish, making interrupted sweeps
-            resumable.  Ignored for traced or profiled sweeps, which
-            must execute live (see :mod:`repro.parallel.store`).
+            resumable.  Ignored for traced sweeps, which must execute
+            live (see :mod:`repro.parallel.store`).
         ops: optional wall-clock span log
             (:class:`~repro.obs.ops.OpsLog`); one ``cell-run`` span
             is emitted per settled run, in completion order, under
@@ -179,9 +179,8 @@ class SweepExecutor:
         execution entirely (their stored outcome, with its metrics
         snapshot when the sweep is observed, joins the deterministic
         merge), and fresh successful runs are committed to the store
-        as they finish.  Traced and profiled sweeps bypass the store —
-        a trace must be recorded live and a profile measures this
-        machine executing.
+        as they finish.  Traced sweeps bypass the store — a trace must
+        be recorded live.
 
         Args:
             analyze: trace every run into a private ring buffer and
@@ -192,12 +191,7 @@ class SweepExecutor:
         """
         specs = list(specs)
         tracing = obs is not None and obs.tracing_enabled
-        profiling = obs is not None and obs.profile is not None
-        store = (
-            self.store
-            if self.store is not None and not tracing and not profiling
-            else None
-        )
+        store = self.store if not tracing else None
         in_process = self.jobs == 1 or tracing
         progress = self.progress
         progress.begin(specs)
@@ -232,7 +226,6 @@ class SweepExecutor:
                     pending,
                     collect=obs is not None,
                     analyze=analyze,
-                    profile=profiling,
                     store=store,
                 )
             outcomes = cached + fresh
@@ -241,11 +234,6 @@ class SweepExecutor:
                 for outcome in outcomes:
                     if outcome.metrics is not None:
                         merge_snapshot(obs.registry, outcome.metrics)
-                    if (
-                        outcome.profile is not None
-                        and obs.profile is not None
-                    ):
-                        merge_profile(obs.profile, outcome.profile)
             crashed = False
         finally:
             progress.finish()
@@ -372,7 +360,6 @@ class SweepExecutor:
         run_obs = Observability.tracing()
         if obs is not None:
             run_obs.registry = obs.registry
-            run_obs.profile = obs.profile
         outcome = execute_run(spec, run_obs)
         outcome = replace(
             outcome, analysis=analyze_observability(run_obs)
@@ -387,7 +374,6 @@ class SweepExecutor:
         specs: list[RunSpec],
         collect: bool,
         analyze: bool = False,
-        profile: bool = False,
         store: ResultStore | None = None,
     ) -> list[RunOutcome]:
         if not specs:
@@ -404,7 +390,6 @@ class SweepExecutor:
                         spec,
                         collect_metrics=collect,
                         collect_analysis=analyze,
-                        collect_profile=profile,
                     ),
                 ): spec
                 for spec in specs

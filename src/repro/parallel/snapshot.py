@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.profile import EngineProfile
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,46 +74,6 @@ def snapshot_registry(registry: MetricsRegistry) -> MetricsSnapshot:
             for name, series in registry.all_timeseries().items()
         },
     )
-
-
-@dataclass(frozen=True, slots=True)
-class ProfileSnapshot:
-    """An :class:`~repro.obs.profile.EngineProfile` flattened to
-    picklable plain data (the worker->parent counterpart of
-    :class:`MetricsSnapshot`).
-
-    Attributes:
-        counts: handler category -> events fired.
-        wall_seconds: handler category -> host seconds spent.
-    """
-
-    counts: dict[str, int] = field(default_factory=dict)
-    wall_seconds: dict[str, float] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
-def snapshot_profile(profile: EngineProfile) -> ProfileSnapshot:
-    """Flatten a worker's engine profile for the trip home."""
-    snapshot = profile.snapshot()
-    return ProfileSnapshot(
-        counts=snapshot["counts"],
-        wall_seconds=snapshot["wall_seconds"],
-    )
-
-
-def merge_profile(
-    profile: EngineProfile, snapshot: ProfileSnapshot
-) -> None:
-    """Add one worker's per-category totals into the parent profile.
-
-    Order-independent (sums of sums), so the parent's merged profile
-    is identical at any worker count — wall seconds were measured
-    *where the run executed*, which is the point: ``--jobs N`` sweeps
-    report where host time actually went across the whole pool.
-    """
-    profile.merge(snapshot.counts, snapshot.wall_seconds)
 
 
 def merge_snapshot(

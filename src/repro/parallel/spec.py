@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from ..core.policy import DownloadPolicy
 from ..core.splicer import DurationSplicer, GopSplicer, Splicer
 from ..errors import ExperimentError
-from ..p2p.swarm import FIDELITY_TIERS
 from ..video.bitstream import Bitstream
 from ..video.encoder import encode_paper_video
 from ..experiments.config import ExperimentConfig
@@ -134,10 +133,6 @@ class CellSpec:
             cross-process cache; shipped pickled to workers).
         preroll_segments: override of the player's pre-roll depth.
         square_wave: optional mid-run bandwidth modulation.
-        fidelity: swarm-backend override for this cell (``None``
-            defers to ``config.fidelity``).  Part of the cell's
-            content digest: changing the backend changes the spec
-            identity, so manifests and caches never conflate tiers.
         label: human-readable cell identity used in failure reports
             (e.g. ``"fig2/gop @ 128 kB/s"``).
     """
@@ -150,20 +145,12 @@ class CellSpec:
     video: Bitstream | None = None
     preroll_segments: int | None = None
     square_wave: SquareWave | None = None
-    fidelity: str | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
         if (self.video_spec is None) == (self.video is None):
             raise ExperimentError(
                 "exactly one of video_spec/video must be given"
-            )
-        if self.fidelity is not None and self.fidelity not in (
-            FIDELITY_TIERS
-        ):
-            raise ExperimentError(
-                f"fidelity must be one of {FIDELITY_TIERS}: "
-                f"{self.fidelity!r}"
             )
 
     def describe(self) -> str:
@@ -185,7 +172,6 @@ def cell_for(
     video: Bitstream | None = None,
     preroll_segments: int | None = None,
     square_wave: SquareWave | None = None,
-    fidelity: str | None = None,
     label: str = "",
 ) -> CellSpec:
     """Build a cell, picking the cacheable path when possible.
@@ -206,7 +192,6 @@ def cell_for(
         video=video,
         preroll_segments=preroll_segments,
         square_wave=square_wave,
-        fidelity=fidelity,
         label=label,
     )
 
@@ -229,10 +214,6 @@ class RunSpec:
             — only the analysis crosses the process boundary, never
             the trace, so attribution is identical at any worker
             count.
-        collect_profile: when true, a worker process times its event
-            loop into a fresh :class:`~repro.obs.profile.EngineProfile`
-            and ships the per-category snapshot back, so a ``--jobs N``
-            sweep's merged profile covers every worker's host time.
     """
 
     cell: CellSpec
@@ -241,4 +222,3 @@ class RunSpec:
     seed_index: int
     collect_metrics: bool = False
     collect_analysis: bool = False
-    collect_profile: bool = False

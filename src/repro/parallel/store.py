@@ -28,9 +28,8 @@ simulation source, so an edit to the code that computes results misses
 the cache instead of being served results the old code produced.
 
 What is *not* cached: traced runs (a trace must be recorded live, on
-one clock, in one process) and profiled runs (an engine profile
-measures *this* machine executing — a cache hit has no host time).
-The executor bypasses the store for both.
+one clock, in one process).  The executor bypasses the store for
+them.
 """
 
 from __future__ import annotations
@@ -96,8 +95,8 @@ def run_identity(spec: RunSpec, schema: str = STORE_SCHEMA) -> str:
 
     Only what determines the simulation's output participates: the
     code that simulates (:func:`sim_code_fingerprint`), the cell spec
-    (technique, bandwidth, config — including fidelity, seeds, churn
-    —, policy, video identity) and the run's seed.  The executor-side
+    (technique, bandwidth, config — including seeds and churn —,
+    policy, video identity) and the run's seed.  The executor-side
     merge keys (``cell_index``/``seed_index``) and the observability
     collection flags do not: the same run requested by two different
     sweeps, or with different instrumentation, is still the same run.
@@ -235,9 +234,7 @@ class ResultStore:
     def put(self, spec: RunSpec, outcome: RunOutcome) -> None:
         """Commit one successful run's outcome.
 
-        Failed outcomes are rejected (a crash is not a result), and
-        the stored entry never carries an engine profile — host time
-        is a property of the machine that ran, not of the run.
+        Failed outcomes are rejected (a crash is not a result).
         """
         if not outcome.ok:
             raise StoreError(
@@ -248,7 +245,7 @@ class ResultStore:
         entry = {
             "schema": self.schema,
             "key": key,
-            "outcome": replace(outcome, profile=None, cached=False),
+            "outcome": replace(outcome, cached=False),
         }
         if self.ops.enabled:
             with self.ops.span(

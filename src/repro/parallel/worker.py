@@ -23,16 +23,10 @@ from ..experiments.config import make_swarm_config
 from ..experiments.runner import SeedStats, seed_stats
 from ..obs.analyze import RunAnalysis, analyze_observability
 from ..obs.context import Observability
-from ..obs.profile import EngineProfile
-from ..p2p.swarm import Swarm, build_swarm
+from ..p2p.swarm import Swarm
 from ..units import kB_per_s
 from .cache import memo_counts, publish_memo_delta, splice_for
-from .snapshot import (
-    MetricsSnapshot,
-    ProfileSnapshot,
-    snapshot_profile,
-    snapshot_registry,
-)
+from .snapshot import MetricsSnapshot, snapshot_registry
 from .spec import RunSpec, SquareWave
 
 
@@ -53,8 +47,6 @@ class RunOutcome:
         analysis: the run's stall diagnosis (analyzing sweeps only);
             computed from the run's private trace where the run
             executed, so it is identical at any worker count.
-        profile: per-category engine wall time measured where the run
-            executed (profiling pool runs only).
         cached: the outcome was served from a
             :class:`~repro.parallel.store.ResultStore` instead of
             being computed this sweep; ``wall_seconds`` then reports
@@ -72,7 +64,6 @@ class RunOutcome:
     wall_seconds: float = 0.0
     metrics: MetricsSnapshot | None = None
     analysis: RunAnalysis | None = None
-    profile: ProfileSnapshot | None = None
     cached: bool = False
     pid: int = 0
 
@@ -123,9 +114,7 @@ def execute_run(
         swarm_config = replace(
             swarm_config, preroll_segments=cell.preroll_segments
         )
-    if cell.fidelity is not None:
-        swarm_config = replace(swarm_config, fidelity=cell.fidelity)
-    swarm = build_swarm(splice, swarm_config, obs=obs)
+    swarm = Swarm(splice, swarm_config, obs=obs)
     if cell.square_wave is not None:
         _schedule_square_wave(
             swarm, kB_per_s(cell.bandwidth_kb), cell.square_wave
@@ -154,12 +143,10 @@ def pool_entry(spec: RunSpec) -> RunOutcome:
         # analyzing path — the trace, and therefore the attribution,
         # must not depend on where the run executed.
         obs = Observability.tracing()
-    elif spec.collect_metrics or spec.collect_profile:
+    elif spec.collect_metrics:
         obs = Observability.metrics_only()
     else:
         obs = None
-    if spec.collect_profile and obs is not None:
-        obs.profile = EngineProfile()
     try:
         outcome = execute_run(spec, obs)
     except BaseException as exc:  # noqa: BLE001 - isolation boundary
@@ -178,9 +165,5 @@ def pool_entry(spec: RunSpec) -> RunOutcome:
     if obs is not None and spec.collect_analysis:
         outcome = replace(
             outcome, analysis=analyze_observability(obs)
-        )
-    if obs is not None and obs.profile is not None:
-        outcome = replace(
-            outcome, profile=snapshot_profile(obs.profile)
         )
     return outcome

@@ -80,5 +80,5 @@ def as_kB_per_s(rate: float) -> float:
 
 
 def _require_non_negative(value: float, name: str) -> None:
-    if value < 0:
+    if not value >= 0:
         raise ConfigurationError(f"{name} must be non-negative, got {value!r}")

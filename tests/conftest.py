@@ -16,17 +16,6 @@ if str(_SRC) not in sys.path:
 from repro.video.encoder import EncoderConfig, SyntheticEncoder
 from repro.video.scene import generate_scene_plan
 
-try:  # the vectorized swarm tiers need numpy; gate, don't fail
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(
-    not _HAVE_NUMPY, reason="numpy is not installed"
-)
-
 
 @pytest.fixture(scope="session")
 def short_video():

@@ -89,13 +89,6 @@ class TestRunIdentity:
         )
         assert run_identity(resliced) != run_identity(base)
 
-    def test_fidelity_changes_identity(
-        self, fast_config, short_video
-    ):
-        base = _spec(fast_config, short_video)
-        tiered = _spec(fast_config, short_video, fidelity="cohort")
-        assert run_identity(tiered) != run_identity(base)
-
     def test_policy_changes_identity(self, fast_config, short_video):
         base = _spec(fast_config, short_video)
         pooled = _spec(
@@ -431,7 +424,7 @@ class TestStoreApi:
         with pytest.raises(StoreError):
             store.put(_spec(fast_config, short_video), failed)
 
-    def test_entries_never_carry_profiles(
+    def test_entries_are_committed_uncached(
         self, fast_config, short_video, tmp_path
     ):
         cells = _cells(fast_config, short_video)[:1]
@@ -442,7 +435,6 @@ class TestStoreApi:
                 tmp_path / "store" / key[:2] / f"{key}.pkl"
             ).read_bytes()
             entry = pickle.loads(raw)
-            assert entry["outcome"].profile is None
             assert entry["outcome"].cached is False
 
     def test_absorb_unions_stores(

@@ -116,6 +116,17 @@ class TestValidation:
         with pytest.raises(StoreError, match="no runs"):
             validate_plan({**quick_plan, "runs": []})
 
+    def test_rejects_missing_or_non_boolean_quick(self, quick_plan):
+        missing = {k: v for k, v in quick_plan.items() if k != "quick"}
+        for plan in (
+            missing,
+            {**quick_plan, "quick": "no"},
+            {**quick_plan, "quick": 1},
+            {**quick_plan, "quick": None},
+        ):
+            with pytest.raises(StoreError, match="quick"):
+                validate_plan(plan)
+
     def test_rejects_out_of_range_shard(self, quick_plan):
         runs = [dict(run) for run in quick_plan["runs"]]
         runs[0]["shard"] = 99
@@ -239,7 +250,7 @@ class TestCliSweep:
         assert "fig2" in merged_out.out
         assert "0 computed" in merged_out.err
 
-    def test_malformed_plan_exits_2(self, tmp_path, capsys):
+    def test_malformed_plan_exits_2(self, quick_plan, tmp_path, capsys):
         from repro.cli import main
 
         bad = tmp_path / "bad.json"
@@ -249,6 +260,19 @@ class TestCliSweep:
             "--shard", "0", "--store", str(tmp_path / "s"),
         ]) == 2
         assert "error:" in capsys.readouterr().err
+
+        no_quick = {k: v for k, v in quick_plan.items() if k != "quick"}
+        for plan in (no_quick, {**quick_plan, "quick": "no"}):
+            write_json(plan, bad)
+            for argv in (
+                ["run", str(bad), "--shard", "0"],
+                ["merge", str(bad)],
+            ):
+                assert main([
+                    "sweep", *argv,
+                    "--store", str(tmp_path / "s"), "--no-ops",
+                ]) == 2
+                assert "quick" in capsys.readouterr().err
 
     def test_bad_jobs_exits_2(self, tmp_path, capsys):
         from repro.cli import main

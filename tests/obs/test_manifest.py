@@ -26,19 +26,9 @@ class TestEnvironmentBlock:
             "machine",
             "cpu_count",
             "usable_cores",
-            "numpy",
         }
         assert env["cpu_count"] >= 1
         assert 1 <= env["usable_cores"] <= env["cpu_count"]
-
-    def test_numpy_version_matches_the_import(self):
-        env = environment_block()
-        try:
-            import numpy
-        except Exception:
-            assert env["numpy"] is None
-        else:
-            assert env["numpy"] == numpy.__version__
 
     def test_usable_cores_positive(self):
         assert usable_cores() >= 1
@@ -94,11 +84,6 @@ class TestRenderEnvironment:
         text = render_environment()
         assert platform.python_version() in text
         assert "cpus" in text
-        assert "numpy" in text
-
-    def test_absent_numpy_renders_as_absent(self):
-        text = render_environment({"env": {"numpy": None}})
-        assert "numpy absent" in text
 
     def test_renders_git_state_when_present(self):
         manifest = {

@@ -105,9 +105,7 @@ class TestTracingOverhead:
     def test_tracing_does_not_change_results(self, short_video):
         """The tracer observes; it must never perturb the simulation."""
         plain = _run_swarm(short_video)
-        traced = _run_swarm(
-            short_video, obs=Observability.tracing(profile=True)
-        )
+        traced = _run_swarm(short_video, obs=Observability.tracing())
         assert plain.end_time == traced.end_time
         assert plain.control_messages == traced.control_messages
         assert plain.seeder_bytes_uploaded == traced.seeder_bytes_uploaded

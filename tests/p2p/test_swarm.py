@@ -41,6 +41,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SwarmConfig(bandwidth=1, join_stagger=-1)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "bandwidth",
+            "seeder_bandwidth",
+            "bandwidth_hint",
+            "peer_rtt",
+            "seeder_rtt",
+            "join_stagger",
+            "max_time",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_setting_rejected(self, field, value):
+        settings = {"bandwidth": 1.0, field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            SwarmConfig(**settings)
+
 
 class TestFullSession(object):
     def test_everyone_finishes(self, splice):
@@ -102,6 +120,13 @@ class TestFullSession(object):
         swarm = Swarm(splice, small_config())
         delay = swarm.control.delay("peer-1", "peer-2")
         assert delay == pytest.approx(0.025)
+
+
+class TestSetPeerBandwidth:
+    def test_set_peer_bandwidth_validates(self, splice):
+        swarm = Swarm(splice, small_config())
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            swarm.set_peer_bandwidth(0.0)
 
 
 class TestPolicies:

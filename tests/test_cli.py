@@ -87,6 +87,16 @@ class TestCommands:
         assert "128 kB/s" in out
 
 
+class TestInvalidSwarmSettings:
+    @pytest.mark.parametrize("command", ["quickstart", "timeline"])
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "-inf", "-5"])
+    def test_bad_bandwidth_exits_2(self, capsys, command, bandwidth):
+        assert main([command, f"--bandwidth={bandwidth}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+
 class TestVersionEnvironment:
     def test_version_prints_environment_block(self, capsys):
         import platform
@@ -97,7 +107,6 @@ class TestVersionEnvironment:
         out = capsys.readouterr().out
         assert platform.python_version() in out
         assert "cpus" in out
-        assert "numpy" in out
 
         from repro.parallel.store import sim_code_fingerprint
 

@@ -56,6 +56,15 @@ class TestTimeHelpers:
             units.minutes(-2)
 
 
+@pytest.mark.parametrize(
+    "helper",
+    ["kilobytes", "megabytes", "kbps", "mbps", "kB_per_s", "milliseconds"],
+)
+def test_nan_rejected(helper):
+    with pytest.raises(ConfigurationError):
+        getattr(units, helper)(float("nan"))
+
+
 class TestReportingHelpers:
     def test_as_kB(self):
         assert units.as_kB(128_000) == pytest.approx(128.0)

@@ -2,7 +2,7 @@
 
 Drives identical TCP workloads through the incremental
 :class:`~repro.net.flownet.FlowNetwork` and the pre-incremental
-:class:`~repro.net.reference.ReferenceFlowNetwork`, and reports
+:class:`~tests.net.reference.ReferenceFlowNetwork`, and reports
 simulated events per wall-clock second for each.
 
 Two topologies, shaped like the paper's streaming experiments:
@@ -10,11 +10,11 @@ Two topologies, shaped like the paper's streaming experiments:
 * **star** — one seed serves every leecher over a shared uplink.
   Segment fetches start at synchronized segment boundaries and all
   transfers share one RTT, so bursts of same-timestamp updates are the
-  norm: this stresses update coalescing and the O(links) advance.
+  norm: this stresses update coalescing.
 * **multibottleneck** — leechers are partitioned into groups, each
   with its own backbone link, and fetch only from group neighbours.
-  The flow graph stays split into one component per group: this
-  stresses component-scoped recomputation.
+  The flow graph stays split into one part per group: this stresses
+  a water-fill over many bottleneck links.
 
 Usage::
 
@@ -24,6 +24,11 @@ Usage::
         # CI gate: re-measure the quick rows and fail if the
         # incremental solver's events/sec fell more than 30% below the
         # committed artifact's baseline for the same topology and size.
+
+Every cell is timed in samples that repeat the workload until the
+sample lasts at least ``_MIN_SAMPLE_S``, until ``_BUDGET_S`` is spent;
+the table and the gate use the median sample.  A quick cell lasts a
+few milliseconds, so a single timing of it is mostly scheduler noise.
 
 Both solvers must agree on the simulation itself — same transfer
 completions, same final simulated time — or the run aborts: a speedup
@@ -35,20 +40,23 @@ from __future__ import annotations
 import argparse
 import random
 import re
+import statistics
 import sys
 import time
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+# The reference solver lives in the test suite (``tests.net``).
+for _path in (_ROOT / "src", _ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.net.engine import Simulator
 from repro.net.flownet import FlowNetwork
 from repro.net.link import Link
-from repro.net.reference import ReferenceFlowNetwork
 from repro.net.tcp import TcpParams, start_tcp_transfer
 from repro.obs.tracer import NULL_TRACER, EventTracer
+from tests.net.reference import ReferenceFlowNetwork
 
 ARTIFACT = Path(__file__).resolve().parent / "results" / "flownet_solver.txt"
 
@@ -62,6 +70,8 @@ _ROUNDS = 5
 _SEGMENT_INTERVAL = 2.0
 _SEGMENT_BYTES = 40_000.0
 _SEED = 20150629  # ICDCS'15 submission-year flavoured, but arbitrary
+_MIN_SAMPLE_S = 0.2
+_BUDGET_S = 1.5
 
 _SOLVERS = {
     "incremental": FlowNetwork,
@@ -159,31 +169,27 @@ def run_workload(solver, topology, n_peers, tracer=NULL_TRACER):
     return sim.events_fired, wall, len(completed), sim.now
 
 
-def _workload(solver, topology, n_peers):
-    """Self-timed wrapper: only the simulator loop counts."""
-    events, wall, done, end = run_workload(solver, topology, n_peers)
-    return (events, done, end), wall
+def _measure(solver, topology, n_peers, tracer=NULL_TRACER):
+    """Time one cell in samples of at least ``_MIN_SAMPLE_S``.
 
-
-def _timed(solver, topology, n_peers, tracer=NULL_TRACER):
-    """Best-of-many wall time under a ~1.5 s budget per cell.
-
-    Millisecond-scale cells are re-run until the budget is spent and
-    the minimum is kept — the minimum is the run least disturbed by
-    scheduler noise, which keeps the CI regression gate from tripping
-    on a busy machine.
+    Samples are taken until ``_BUDGET_S`` is spent (at least one).
+    Returns ``((events, completions, end_time), walls)`` with one wall
+    time per run for each sample.
     """
-    events, wall, done, end = run_workload(
-        solver, topology, n_peers, tracer
-    )
-    spent = wall
-    repeats = 1
-    while spent < 1.5 and repeats < 400:
-        _, again, _, _ = run_workload(solver, topology, n_peers, tracer)
-        wall = min(wall, again)
-        spent += again
-        repeats += 1
-    return events, wall, done, end
+    walls = []
+    spent = 0.0
+    while spent < _BUDGET_S:
+        runs = 0
+        sample = 0.0
+        while sample < _MIN_SAMPLE_S:
+            events, wall, done, end = run_workload(
+                solver, topology, n_peers, tracer
+            )
+            runs += 1
+            sample += wall
+        walls.append(sample / runs)
+        spent += sample
+    return (events, done, end), walls
 
 
 def run_suite(harness, quick=False):
@@ -198,14 +204,14 @@ def run_suite(harness, quick=False):
         for n_peers in sizes:
             outcomes = {}
             for solver in _SOLVERS:
+                outcome, walls = _measure(solver, topology, n_peers)
+                samples = iter(walls)
+                # The harness records the samples already taken.
                 events, done, end = harness.case(
                     f"{topology}/{n_peers}/{solver}",
-                    _workload,
-                    solver,
-                    topology,
-                    n_peers,
+                    lambda: (outcome, next(samples)),
                     self_timed=True,
-                    budget_s=1.5,
+                    rounds=len(walls),
                     params={
                         "topology": topology,
                         "n_peers": n_peers,
@@ -222,7 +228,7 @@ def run_suite(harness, quick=False):
                         _SEGMENT_BYTES,
                     ),
                 )
-                wall = harness.cases[-1].timing.best_s
+                wall = statistics.median(walls)
                 harness.annotate(events_fired=events, sim_seconds=end)
                 outcomes[solver] = (done, end)
                 rows.append(
@@ -345,17 +351,14 @@ def check_null_tracer_overhead(baseline, n_peers):
             f"no baseline for {key} in {ARTIFACT}; "
             "re-record it with a full run"
         )
-    _, null_wall, _, _ = _timed("incremental", "star", n_peers)
-    null_evps = run_workload("incremental", "star", n_peers)[0] / null_wall
+    (events, _, _), walls = _measure("incremental", "star", n_peers)
+    null_evps = events / statistics.median(walls)
 
     tracer = EventTracer(capacity=100_000)
-    _, traced_wall, _, _ = _timed(
+    (events, _, _), walls = _measure(
         "incremental", "star", n_peers, tracer
     )
-    traced_evps = (
-        run_workload("incremental", "star", n_peers, tracer)[0]
-        / traced_wall
-    )
+    traced_evps = events / statistics.median(walls)
 
     floor = baseline[key] * REGRESSION_FLOOR
     overhead = 1.0 - traced_evps / null_evps

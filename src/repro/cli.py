@@ -39,7 +39,7 @@ from typing import Sequence
 
 from . import __version__
 from .core.splicer import DurationSplicer, GopSplicer
-from .errors import ConfigurationError, TraceError
+from .errors import ConfigurationError, SpliceError, TraceError
 from .experiments import fig2, fig3, fig4, fig5
 from .experiments.ablations import run_overhead
 from .experiments.config import ExperimentConfig, make_swarm_config
@@ -1277,8 +1277,12 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     config = _swarm_config(args, n_leechers=args.peers)
     if config is None:
         return 2
-    video = encode_paper_video(seed=1)
-    splice = DurationSplicer(args.duration).splice(video)
+    try:
+        splicer = DurationSplicer(args.duration)
+    except SpliceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    splice = splicer.splice(encode_paper_video(seed=1))
     obs = Observability.tracing()
     Swarm(splice, config, obs=obs).run()
     timelines = build_timelines(obs.events())

@@ -14,6 +14,7 @@ Two techniques:
 from __future__ import annotations
 
 import abc
+import math
 
 from ..errors import SpliceError
 from ..video.bitstream import Bitstream
@@ -122,9 +123,10 @@ class DurationSplicer(Splicer):
     """
 
     def __init__(self, target_duration: float) -> None:
-        if target_duration <= 0:
+        if not (math.isfinite(target_duration) and target_duration > 0):
             raise SpliceError(
-                f"target_duration must be positive, got {target_duration}"
+                "target_duration must be positive and finite, "
+                f"got {target_duration}"
             )
         self._target_duration = target_duration
 

@@ -30,16 +30,25 @@ solve to the engine's end-of-timestamp barrier
 solve instead of one per call.  Reading :attr:`Flow.rate` flushes
 pending work first, so callers always observe solved rates.
 
-The naive solver (global progressive filling on every update, per-flow
-per-link byte accounting, full completion rescans) survives as
-:class:`repro.net.reference.ReferenceFlowNetwork` — the executable
-specification the property tests cross-check against.
+State that changes only when a flow starts or ends is kept between
+solves instead of rebuilt by each one: every link's insertion-ordered
+flow membership and the ``(cap, flow id)`` order of the capped flows.
+Each solve still starts from every link's capacity and subtracts frozen
+rates in the same order, so kept state never changes a rate's float.
+A link's carried bytes are credited when a flow leaves it, not on every
+advance.
+
+The naive solver (global progressive filling on every update) lives in
+the test suite as the executable specification the property tests
+cross-check against.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
+import math
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import NetworkError
@@ -62,6 +71,7 @@ class Flow:
     __slots__ = (
         "id",
         "route",
+        "_names",
         "size",
         "remaining",
         "_rate",
@@ -87,6 +97,7 @@ class Flow:
     ) -> None:
         self.id = flow_id
         self.route = route
+        self._names = tuple(link.name for link in route)
         self.size = size
         self.remaining = size
         self._rate = 0.0
@@ -127,6 +138,14 @@ class Flow:
         )
 
 
+def _check_rate_limit(rate_limit: float | None) -> None:
+    # ``not > 0`` also rejects NaN, which has no place in the cap order.
+    if rate_limit is not None and not rate_limit > 0:
+        raise NetworkError(
+            f"rate_limit must be positive or None, got {rate_limit}"
+        )
+
+
 class FlowNetwork:
     """The set of links and currently-active flows.
 
@@ -145,14 +164,17 @@ class FlowNetwork:
     ) -> None:
         self._sim = sim
         self._flows: dict[Flow, None] = {}
+        # Kept across solves; only start_flow, set_rate_limit and
+        # _remove_flow change them.  Link name -> (link, its active
+        # flows in id order), and the capped flows in (cap, id) order.
+        self._links: dict[str, tuple[Link, dict[Flow, None]]] = {}
+        self._capped: list[tuple[float, int, Flow]] = []
         self._flow_ids = itertools.count(1)
         self._last_update = 0.0
         self._completion_event: EventHandle | None = None
-        self._link_bytes: dict[str, float] = {}
-        # Aggregate allocated rate per link, refreshed at solve time so
-        # byte accounting is O(links) per advance instead of
-        # O(flows x route).
-        self._link_rates: dict[str, float] = {}
+        # Bytes each removed flow moved, per link; summed exactly on
+        # read so the total never decreases.
+        self._link_bytes: dict[str, list[float]] = {}
         self._dirty = False
         self._barrier_pending = False
         self._capacity_generation = 0
@@ -192,12 +214,21 @@ class FlowNetwork:
 
     def flows_on(self, link: Link) -> int:
         """Number of active flows traversing ``link``."""
-        return sum(1 for flow in self._flows if link in flow.route)
+        entry = self._links.get(link.name)
+        return 0 if entry is None else len(entry[1])
 
     def bytes_carried(self, link: Link) -> float:
-        """Cumulative bytes this link has carried (for utilization)."""
+        """Cumulative bytes this link has carried (for utilization).
+
+        Removed flows were credited when they left; active flows add
+        what they have moved so far.
+        """
         self._advance()
-        return self._link_bytes.get(link.name, 0.0)
+        parts = list(self._link_bytes.get(link.name, ()))
+        entry = self._links.get(link.name)
+        if entry is not None:
+            parts.extend(flow.transferred for flow in entry[1])
+        return math.fsum(parts)
 
     def start_flow(
         self,
@@ -210,7 +241,8 @@ class FlowNetwork:
         """Begin a transfer of ``size`` bytes over ``route``.
 
         Args:
-            route: ordered links the flow traverses (non-empty).
+            route: ordered links the flow traverses (non-empty, each
+                link at most once).
             size: bytes to move (> 0).
             rate_limit: optional cap in bytes/second (e.g. a TCP
                 congestion window); ``None`` means link-limited only.
@@ -227,12 +259,11 @@ class FlowNetwork:
         route = tuple(route)
         if not route:
             raise NetworkError("flow route must contain at least one link")
+        if len({link.name for link in route}) != len(route):
+            raise NetworkError("flow route must not repeat a link")
         if size <= 0:
             raise NetworkError(f"flow size must be positive, got {size}")
-        if rate_limit is not None and rate_limit <= 0:
-            raise NetworkError(
-                f"rate_limit must be positive or None, got {rate_limit}"
-            )
+        _check_rate_limit(rate_limit)
         if min_efficient_rate < 0:
             raise NetworkError(
                 f"min_efficient_rate must be >= 0, got {min_efficient_rate}"
@@ -249,6 +280,15 @@ class FlowNetwork:
             network=self,
         )
         self._flows[flow] = None
+        links = self._links
+        for link in route:
+            entry = links.get(link.name)
+            if entry is None:
+                links[link.name] = (link, {flow: None})
+            else:
+                entry[1][flow] = None
+        if rate_limit is not None:
+            bisect.insort(self._capped, (rate_limit, flow.id, flow))
         self._mark_dirty()
         return flow
 
@@ -262,16 +302,18 @@ class FlowNetwork:
 
     def set_rate_limit(self, flow: Flow, rate_limit: float | None) -> None:
         """Change a flow's rate cap (TCP window ramp); triggers resharing."""
-        if rate_limit is not None and rate_limit <= 0:
-            raise NetworkError(
-                f"rate_limit must be positive or None, got {rate_limit}"
-            )
+        _check_rate_limit(rate_limit)
         if not flow.active:
             return
         self._advance()
+        if flow not in self._flows:
+            flow.rate_limit = rate_limit
+            return
+        self._uncap(flow)
         flow.rate_limit = rate_limit
-        if flow in self._flows:
-            self._mark_dirty()
+        if rate_limit is not None:
+            bisect.insort(self._capped, (rate_limit, flow.id, flow))
+        self._mark_dirty()
 
     def set_capacity(self, link: Link, capacity: float) -> None:
         """Change a link's capacity at runtime (variable-bandwidth runs)."""
@@ -284,9 +326,26 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # deferred solving
 
+    def _uncap(self, flow: Flow) -> None:
+        """Drop ``flow``'s entry from the cap order, if it has one."""
+        if flow.rate_limit is not None:
+            capped = self._capped
+            del capped[bisect.bisect_left(capped, (flow.rate_limit, flow.id))]
+
     def _remove_flow(self, flow: Flow) -> None:
-        """Detach a finished/cancelled flow and dirty the network."""
+        """Detach a finished/cancelled flow, credit its bytes, dirty."""
         del self._flows[flow]
+        moved = flow.transferred
+        links = self._links
+        link_bytes = self._link_bytes
+        for name in flow._names:
+            on_link = links[name][1]
+            del on_link[flow]
+            if not on_link:
+                del links[name]
+            if moved:
+                link_bytes.setdefault(name, []).append(moved)
+        self._uncap(flow)
         flow._network = None
         self._mark_dirty()
 
@@ -308,10 +367,9 @@ class FlowNetwork:
         """Re-solve every rate and refresh the completion event."""
         if self._dirty:
             self._dirty = False
-            self._fill()
-            self._reschedule_completion()
+            self._reschedule_completion(self._fill())
 
-    def _fill(self) -> None:
+    def _fill(self) -> float:
         """Bottleneck-ordered max-min water-fill with rate caps.
 
         Each round freezes either the lowest-capped unfrozen flow at its
@@ -320,26 +378,20 @@ class FlowNetwork:
         share is a link's remaining capacity over its unfrozen flows;
         the heap holds one fresh entry per touched link and stale
         entries are dropped when they surface.
+
+        Returns:
+            The soonest completion ETA over the solved rates (``inf``
+            when no flow moves), found in the window-floor pass.
         """
-        flows = self._flows
+        links = self._links
+        capped = self._capped
         remaining: dict[str, float] = {}
-        members: dict[str, list[Flow]] = {}
-        capped: list[tuple[float, int, Flow]] = []
-        for flow in flows:
-            for link in flow.route:
-                on_link = members.get(link.name)
-                if on_link is None:
-                    members[link.name] = [flow]
-                    remaining[link.name] = link.capacity
-                else:
-                    on_link.append(flow)
-            if flow.rate_limit is not None:
-                capped.append((flow.rate_limit, flow.id, flow))
-        capped.sort()
-        unfrozen = {name: len(on_link) for name, on_link in members.items()}
-        heap = [
-            (remaining[name] / count, name) for name, count in unfrozen.items()
-        ]
+        unfrozen: dict[str, int] = {}
+        heap: list[tuple[float, str]] = []
+        for name, (link, on_link) in links.items():
+            capacity = remaining[name] = link.capacity
+            count = unfrozen[name] = len(on_link)
+            heap.append((capacity / count, name))
         heapq.heapify(heap)
         frozen: set[Flow] = set()
         next_cap = 0
@@ -357,15 +409,17 @@ class FlowNetwork:
             else:
                 heapq.heappop(heap)
                 rate = share
-                group = [flow for flow in members[name] if flow not in frozen]
+                group = [
+                    flow for flow in links[name][1] if flow not in frozen
+                ]
             touched: dict[str, None] = {}
             for flow in group:
                 flow._rate = rate
                 frozen.add(flow)
-                for link in flow.route:
-                    remaining[link.name] -= rate
-                    unfrozen[link.name] -= 1
-                    touched[link.name] = None
+                for link_name in flow._names:
+                    remaining[link_name] -= rate
+                    unfrozen[link_name] -= 1
+                    touched[link_name] = None
             for touched_name in touched:
                 count = unfrozen[touched_name]
                 if count:
@@ -375,18 +429,21 @@ class FlowNetwork:
 
         # TCP window floor: a share below ~MSS/RTT leaves a real
         # connection timeout-bound; goodput falls off quadratically.
-        link_rates = dict.fromkeys(members, 0.0)
-        for flow in flows:
+        soonest = math.inf
+        for flow in self._flows:
+            rate = flow._rate
             floor = flow.min_efficient_rate
-            if floor > 0 and 0 < flow._rate < floor:
-                flow._rate = flow._rate * flow._rate / floor
-            for link in flow.route:
-                link_rates[link.name] += flow._rate
-        self._link_rates = link_rates
+            if floor > 0 and 0 < rate < floor:
+                rate = flow._rate = rate * rate / floor
+            if rate > 0:
+                eta = flow.remaining / rate
+                if eta < soonest:
+                    soonest = eta
 
         if self._resolves is not None:
             self._resolves.inc()
-            self._resolved_flows.inc(len(flows))
+            self._resolved_flows.inc(len(self._flows))
+        return soonest
 
     # ------------------------------------------------------------------
     # time advance and completions
@@ -397,8 +454,8 @@ class FlowNetwork:
         Rates are constant across the advanced interval: the network
         can only be dirty within the current timestamp (the engine
         barrier flushes it before the clock moves), so the cached
-        ``_rate``/``_link_rates`` values are exactly the rates that
-        applied since ``_last_update``.
+        ``_rate`` values are exactly the rates that applied since
+        ``_last_update``.
         """
         now = self._sim.now
         elapsed = now - self._last_update
@@ -407,27 +464,27 @@ class FlowNetwork:
                 flow.remaining = max(
                     0.0, flow.remaining - flow._rate * elapsed
                 )
-            link_bytes = self._link_bytes
-            for name, rate in self._link_rates.items():
-                if rate:
-                    link_bytes[name] = (
-                        link_bytes.get(name, 0.0) + rate * elapsed
-                    )
         self._last_update = now
 
-    def _reschedule_completion(self) -> None:
-        """Arm one event at the soonest full-completion ETA."""
+    def _reschedule_completion(self, soonest: float | None = None) -> None:
+        """Arm one event at the soonest full-completion ETA.
+
+        ``soonest`` comes from the solve; without it the flows are
+        rescanned (the drift re-arm in :meth:`_on_completion_due`).
+        """
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        soonest = float("inf")
-        for flow in self._flows:
-            rate = flow._rate
-            if rate > 0:
-                eta = flow.remaining / rate
-                if eta < soonest:
-                    soonest = eta
-        if soonest < float("inf"):
+        if soonest is None:
+            soonest = min(
+                (
+                    flow.remaining / flow._rate
+                    for flow in self._flows
+                    if flow._rate > 0
+                ),
+                default=math.inf,
+            )
+        if soonest < math.inf:
             self._completion_event = self._sim.schedule(
                 soonest, self._on_completion_due
             )

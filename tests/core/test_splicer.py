@@ -70,6 +70,13 @@ class TestDurationSplicer:
         with pytest.raises(SpliceError):
             DurationSplicer(0.0)
 
+    @pytest.mark.parametrize(
+        "duration", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(SpliceError):
+            DurationSplicer(duration)
+
     def test_segments_are_frame_accurate(self, stream):
         result = DurationSplicer(2.0).splice(stream)
         for segment in result.segments[:-1]:

@@ -6,6 +6,7 @@ raise fails the suite *before* it can poison a golden trace or a
 cached sweep cell.
 """
 
+import dataclasses
 from pathlib import Path
 
 from repro.lint import lint_paths, load_config
@@ -33,10 +34,18 @@ def test_deliberate_exceptions_stay_annotated():
     # The known suppression inventory: the reference solver's three
     # commutative set folds (D3), the report header's wall elapsed
     # (D1), and the CLI's unreachable dispatch guard (E1).  Growing
-    # this list is fine — silently losing an annotation is not.
+    # this list is fine — silently losing an annotation is not.  The
+    # reference solver lives in the test suite, so it is linted here
+    # as simulation-path code alongside the package.
+    config = load_config(REPO_ROOT / "pyproject.toml")
     result = lint_paths(
-        [REPO_ROOT / "src" / "repro"],
-        config=load_config(REPO_ROOT / "pyproject.toml"),
+        [
+            REPO_ROOT / "src" / "repro",
+            REPO_ROOT / "tests" / "net" / "reference.py",
+        ],
+        config=dataclasses.replace(
+            config, sim_path=config.sim_path + ("tests.net.reference",)
+        ),
     )
     per_rule = {
         rule: counts["suppressed"]

@@ -28,10 +28,10 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from ..errors import NetworkError
-from .engine import EventHandle, Simulator
-from .flownet import _COMPLETION_EPSILON, Flow
-from .link import Link
+from repro.errors import NetworkError
+from repro.net.engine import EventHandle, Simulator
+from repro.net.flownet import _COMPLETION_EPSILON, Flow
+from repro.net.link import Link
 
 #: Rate increments below this are treated as zero in progressive filling.
 _RATE_EPSILON = 1e-9

@@ -38,6 +38,21 @@ class TestBasics:
         with pytest.raises(NetworkError):
             network.start_flow([Link("l", 1)], 1.0, rate_limit=0.0)
 
+    def test_nan_rate_limit_rejected(self, net):
+        _, network = net
+        link = Link("l", 1)
+        with pytest.raises(NetworkError):
+            network.start_flow([link], 1.0, rate_limit=float("nan"))
+        flow = network.start_flow([link], 1.0)
+        with pytest.raises(NetworkError):
+            network.set_rate_limit(flow, float("nan"))
+
+    def test_route_must_not_repeat_a_link(self, net):
+        _, network = net
+        link = Link("l", 1)
+        with pytest.raises(NetworkError):
+            network.start_flow([link, Link("m", 1), link], 1.0)
+
     def test_transferred_tracks_progress(self, net):
         sim, network = net
         link = Link("l", 1000.0)

@@ -2,7 +2,7 @@
 
 :class:`~repro.net.flownet.FlowNetwork` runs one bottleneck-ordered
 water-fill over all active flows, once per coalesced timestamp;
-:class:`~repro.net.reference.ReferenceFlowNetwork` runs global
+:class:`~tests.net.reference.ReferenceFlowNetwork` runs global
 progressive filling on every update.  For randomized topologies, caps,
 and update schedules (including same-instant bursts), both must agree
 on every observable: allocated rates, completion sets and times, and
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.net.engine import Simulator
 from repro.net.flownet import FlowNetwork
 from repro.net.link import Link
-from repro.net.reference import ReferenceFlowNetwork
+from tests.net.reference import ReferenceFlowNetwork
 
 _REL = 1e-9
 
@@ -96,8 +96,12 @@ def update_schedules(draw):
     return capacities, ops
 
 
-def _execute(network_cls, capacities, ops):
-    """Run one schedule against a network class; return observables."""
+def _execute(network_cls, capacities, ops, probe=None):
+    """Run one schedule against a network class; return observables.
+
+    ``probe(network, links)``, when given, runs after every operation
+    and every completion callback.
+    """
     sim = Simulator()
     network = network_cls(sim)
     links = [
@@ -105,6 +109,11 @@ def _execute(network_cls, capacities, ops):
     ]
     started: list = []
     completions: dict[int, float] = {}
+
+    def completed(index) -> None:
+        completions.setdefault(index, sim.now)
+        if probe is not None:
+            probe(network, links)
 
     def apply(kind, payload) -> None:
         if kind == "start":
@@ -115,9 +124,7 @@ def _execute(network_cls, capacities, ops):
                     [links[i] for i in route],
                     size,
                     rate_limit=limit,
-                    on_complete=lambda f, i=index: completions.setdefault(
-                        i, sim.now
-                    ),
+                    on_complete=lambda f, i=index: completed(i),
                     min_efficient_rate=floor,
                 )
             )
@@ -131,6 +138,8 @@ def _execute(network_cls, capacities, ops):
         else:
             index, value = payload
             network.set_capacity(links[index], value)
+        if probe is not None:
+            probe(network, links)
 
     for time, kind, payload in ops:
         sim.schedule_at(time, apply, kind, payload)
@@ -173,6 +182,75 @@ class TestIncrementalMatchesReference:
         first = _execute(FlowNetwork, capacities, ops)
         second = _execute(FlowNetwork, capacities, ops)
         assert first == second
+
+
+def _check_kept_state(network, links):
+    """The state kept across solves equals a rebuild from ``_flows``."""
+    flows = list(network._flows)
+    members: dict[str, list] = {}
+    for flow in flows:
+        for link in flow.route:
+            members.setdefault(link.name, []).append(flow)
+    assert {
+        name: list(on_link) for name, (_, on_link) in network._links.items()
+    } == members
+    assert network._capped == sorted(
+        (flow.rate_limit, flow.id, flow)
+        for flow in flows
+        if flow.rate_limit is not None
+    )
+    for link in links:
+        assert network.flows_on(link) == sum(
+            link in flow.route for flow in flows
+        )
+    # A from-scratch solve over the same flows, started in the same
+    # (id) order, gives the very same floats.
+    fresh = FlowNetwork(Simulator())
+    twins = [
+        fresh.start_flow(
+            flow.route,
+            flow.size,
+            rate_limit=flow.rate_limit,
+            min_efficient_rate=flow.min_efficient_rate,
+        )
+        for flow in flows
+    ]
+    assert [flow.rate for flow in flows] == [twin.rate for twin in twins]
+
+
+class TestKeptState:
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=update_schedules())
+    def test_membership_cap_order_and_rates_match_a_rebuild(self, schedule):
+        capacities, ops = schedule
+        _execute(FlowNetwork, capacities, ops, probe=_check_kept_state)
+
+
+class TestByteAccounting:
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=update_schedules())
+    def test_bytes_carried_tracks_reference_and_never_decreases(
+        self, schedule
+    ):
+        capacities, ops = schedule
+        samples: dict[type, list[list[float]]] = {}
+        for network_cls in (ReferenceFlowNetwork, FlowNetwork):
+            taken = samples[network_cls] = []
+            _execute(
+                network_cls,
+                capacities,
+                ops,
+                probe=lambda network, links, taken=taken: taken.append(
+                    [network.bytes_carried(link) for link in links]
+                ),
+            )
+        reference = samples[ReferenceFlowNetwork]
+        incremental = samples[FlowNetwork]
+        assert len(incremental) == len(reference)
+        for got, want in zip(incremental, reference):
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-3)
+        for earlier, later in zip(incremental, incremental[1:]):
+            assert all(b >= a for a, b in zip(earlier, later))
 
 
 class TestStaticAllocationParity:

@@ -96,6 +96,13 @@ class TestInvalidSwarmSettings:
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "0", "-1"])
+    def test_bad_timeline_duration_exits_2(self, capsys, duration):
+        assert main(["timeline", f"--duration={duration}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestVersionEnvironment:
     def test_version_prints_environment_block(self, capsys):

@@ -97,7 +97,7 @@ class Flow:
     ) -> None:
         self.id = flow_id
         self.route = route
-        self._names = tuple(link.name for link in route)
+        self._names = tuple([link.name for link in route])
         self.size = size
         self.remaining = size
         self._rate = 0.0
@@ -259,7 +259,7 @@ class FlowNetwork:
         route = tuple(route)
         if not route:
             raise NetworkError("flow route must contain at least one link")
-        if len({link.name for link in route}) != len(route):
+        if len(set(route)) != len(route):
             raise NetworkError("flow route must not repeat a link")
         if size <= 0:
             raise NetworkError(f"flow size must be positive, got {size}")
@@ -335,7 +335,7 @@ class FlowNetwork:
     def _remove_flow(self, flow: Flow) -> None:
         """Detach a finished/cancelled flow, credit its bytes, dirty."""
         del self._flows[flow]
-        moved = flow.transferred
+        moved = flow.size - flow.remaining
         links = self._links
         link_bytes = self._link_bytes
         for name in flow._names:

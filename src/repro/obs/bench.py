@@ -155,6 +155,9 @@ class BenchHarness:
         )
         self.quick = quick
         self._clock = clock
+        # Taken before the suite writes any table, so the git state is
+        # that of the code that ran, not dirtied by the run's output.
+        self._manifest = _manifest.build_manifest()
         self.cases: list[BenchCase] = []
         self._case_ids: set[str] = set()
 
@@ -341,7 +344,7 @@ class BenchHarness:
     def artifact(self) -> dict:
         """The suite's artifact payload (schema-valid by construction)."""
         return build_artifact(
-            self.suite, self.cases, quick=self.quick
+            self.suite, self.cases, quick=self.quick, manifest=self._manifest
         )
 
     def write(self, path: str | Path | None = None) -> Path:
@@ -404,15 +407,23 @@ def figure_metrics(result: Any) -> dict[str, float]:
 
 
 def build_artifact(
-    suite: str, cases: Iterable[BenchCase], quick: bool = False
+    suite: str,
+    cases: Iterable[BenchCase],
+    quick: bool = False,
+    manifest: dict | None = None,
 ) -> dict:
-    """Assemble the versioned artifact payload for ``cases``."""
+    """Assemble the versioned artifact payload for ``cases``.
+
+    ``manifest`` defaults to one built now.
+    """
     return {
         "schema": SCHEMA,
         "suite": suite,
         "quick": bool(quick),
         "created": _manifest.utc_timestamp(),
-        "manifest": _manifest.build_manifest(),
+        "manifest": (
+            manifest if manifest is not None else _manifest.build_manifest()
+        ),
         "cases": [case.to_dict() for case in cases],
     }
 

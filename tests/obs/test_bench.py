@@ -305,6 +305,21 @@ class TestSuiteDiscovery:
 
 
 class TestBuildArtifact:
+    def test_manifest_is_taken_when_the_harness_starts(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs import manifest
+
+        monkeypatch.setattr(
+            manifest, "build_manifest", lambda: {"git": {"dirty": False}}
+        )
+        harness = make_harness(tmp_path)
+        monkeypatch.setattr(
+            manifest, "build_manifest", lambda: {"git": {"dirty": True}}
+        )
+        harness.emit("table", name="demo")
+        assert harness.artifact()["manifest"] == {"git": {"dirty": False}}
+
     def test_empty_suite_is_valid(self):
         payload = build_artifact("empty", [])
         validate_artifact(payload)

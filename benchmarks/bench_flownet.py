@@ -29,6 +29,10 @@ Every cell is timed in samples that repeat the workload until the
 sample lasts at least ``_MIN_SAMPLE_S``, until ``_BUDGET_S`` is spent;
 the table and the gate use the median sample.  A quick cell lasts a
 few milliseconds, so a single timing of it is mostly scheduler noise.
+Each sample is rescaled by the host's pace, measured just before it
+with paperbench's pace kernel, to paperbench's reference pace: wall
+times and events/s are those of the reference host, so the gate
+follows the solver rather than a shared host's slow and fast spells.
 
 Both solvers must agree on the simulation itself — same transfer
 completions, same final simulated time — or the run aborts: a speedup
@@ -38,6 +42,7 @@ over a solver computing something else would be meaningless.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import random
 import re
 import statistics
@@ -57,6 +62,12 @@ from repro.net.link import Link
 from repro.net.tcp import TcpParams, start_tcp_transfer
 from repro.obs.tracer import NULL_TRACER, EventTracer
 from tests.net.reference import ReferenceFlowNetwork
+
+_spec = importlib.util.spec_from_file_location(
+    "paperbench_run", _ROOT / "paperbench" / "run.py"
+)
+_paperbench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_paperbench)
 
 ARTIFACT = Path(__file__).resolve().parent / "results" / "flownet_solver.txt"
 
@@ -174,11 +185,13 @@ def _measure(solver, topology, n_peers, tracer=NULL_TRACER):
 
     Samples are taken until ``_BUDGET_S`` is spent (at least one).
     Returns ``((events, completions, end_time), walls)`` with one wall
-    time per run for each sample.
+    time per run for each sample, rescaled to the reference pace.
     """
+    pace = _paperbench.HostPace()
     walls = []
     spent = 0.0
     while spent < _BUDGET_S:
+        scale = _paperbench.REFERENCE_PACE_S / pace()
         runs = 0
         sample = 0.0
         while sample < _MIN_SAMPLE_S:
@@ -187,7 +200,7 @@ def _measure(solver, topology, n_peers, tracer=NULL_TRACER):
             )
             runs += 1
             sample += wall
-        walls.append(sample / runs)
+        walls.append(sample / runs * scale)
         spent += sample
     return (events, done, end), walls
 
